@@ -61,7 +61,9 @@ soak-collab:
 # Bounded-memory soak: compressed long-lived rounds where the bounded run
 # (history GC + WAL rotation + checkpoint pruning) must hold retained
 # history, journal disk and post-GC heap flat while staying bit-identical
-# to an unbounded reference run and to a full journal replay.
+# to an unbounded reference run and to a full journal replay. Its last leg
+# does the same for the sharded service: shard state (session watermarks,
+# in-flight claims, retained root-log ops) and heap flat pass after pass.
 soak-mem:
 	$(GO) run ./cmd/soak -mem -duration 30s
 

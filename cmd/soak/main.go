@@ -54,7 +54,11 @@
 // pruning), demands bit-identical fingerprints, retained history a small
 // fraction of the unbounded run's, journal disk under a fixed bound at
 // every wave, a clean read-only Verify plus a full replay of the sealed
-// rotated journal, and a post-GC heap that stays flat across rounds.
+// rotated journal, and a post-GC heap that stays flat across rounds. Its
+// last leg holds the sharded service to the same standard: pass after pass
+// of a fixed-session workload over two journaled shards must leave session
+// watermarks, in-flight claims, retained root-log ops and post-GC heap
+// where the second pass left them.
 //
 //	go run ./cmd/soak -duration 30s
 //	go run ./cmd/soak -duration 30s -chaos
@@ -710,6 +714,15 @@ func retainedOps(data []mergeable.Mergeable) int {
 	return total
 }
 
+// postGCHeap forces a collection and returns the live heap in bytes — the
+// sample both -mem legs hold flat.
+func postGCHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
 // dirBytes sums the sizes of dir's entries — the journal's disk
 // footprint (live segment, any mid-rotation sibling, checkpoints).
 func dirBytes(dir string) int64 {
@@ -819,10 +832,7 @@ func memSoak(duration time.Duration, baseSeed int64, reg *repro.MetricsRegistry)
 
 		// One post-GC heap sample per round: with values clamped and
 		// history trimmed, the live set must not trend upward.
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		heapSamples = append(heapSamples, ms.HeapAlloc)
+		heapSamples = append(heapSamples, postGCHeap())
 	}
 
 	if counters.Get("compaction.wal.rotations") == 0 {
@@ -849,6 +859,7 @@ func memSoak(duration time.Duration, baseSeed int64, reg *repro.MetricsRegistry)
 			float64(heapSamples[0])/(1<<20), float64(heapSamples[len(heapSamples)-1])/(1<<20), len(heapSamples))
 	}
 	fmt.Printf("counters: %s\n", counters)
+	memShardLeg(duration / 4)
 }
 
 // taskProbe builds a random-shaped task tree from seed and returns its

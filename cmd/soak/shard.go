@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"os"
+	"strings"
 	"sync"
 	"time"
 
@@ -334,4 +335,182 @@ func shardSoak(duration time.Duration, baseSeed int64, ops int, reg *repro.Metri
 		passes, clients*edits,
 		counters.Get("shard.shard_frames"), counters.Get("shard.forwarded"), counters.Get("shard.shard_replayed"))
 	fmt.Printf("counters: %s\n", counters)
+}
+
+// The -mem soak's sharded leg: a fixed set of sessions, one per document,
+// drives pass after pass of mutations through a journaled 2-shard service.
+// Every step prepends a marker and deletes the one that falls out of an
+// 8-marker window, so the documents stay 64 runes long and whatever grows
+// from pass to pass is state the shard layer keeps per op. After each pass
+// (at quiescence: every session ends its pass with a read, which is a Sync)
+// the leg samples the service's ShardState and the post-GC heap; the last
+// sample must not exceed the second by more than slack, and the final
+// documents and edit count must equal a single-process MultiServer run of
+// the same passes.
+const (
+	memShardSessions = 32
+	memShardPassOps  = 1024 // mutations per session per pass
+	memShardMinPass  = 4
+)
+
+func memShardDoc(id int) string { return fmt.Sprintf("mem%02d", id) }
+
+func memShardInitial() map[string]string {
+	m := make(map[string]string, memShardSessions)
+	for id := 0; id < memShardSessions; id++ {
+		m[memShardDoc(id)] = strings.Repeat("initial;", 8)
+	}
+	return m
+}
+
+// memShardDial opens the leg's fixed sessions, one per document.
+func memShardDial(d collab.Dialer) ([]*collab.Client, error) {
+	clients := make([]*collab.Client, memShardSessions)
+	for id := range clients {
+		c, err := collab.DialWith(d, collab.ClientOptions{RequestTimeout: 10 * time.Second})
+		if err != nil {
+			return nil, err
+		}
+		if _, err := c.Use(memShardDoc(id)); err != nil {
+			return nil, err
+		}
+		clients[id] = c
+	}
+	return clients, nil
+}
+
+// memShardPass runs pass number pass on every session concurrently.
+func memShardPass(clients []*collab.Client, pass int) error {
+	errs := make(chan error, len(clients))
+	for id, c := range clients {
+		go func(id int, c *collab.Client) {
+			for j := 0; j < memShardPassOps; j += 2 {
+				c.QueueInsert(0, fmt.Sprintf("%02d%05d;", id, (pass*memShardPassOps+j)/2%100000))
+				c.QueueDelete(64, 8)
+				if c.Queued() >= 8 {
+					if err := c.Flush(); err != nil {
+						errs <- fmt.Errorf("session %d, pass %d: %w", id, pass, err)
+						return
+					}
+				}
+			}
+			errs <- c.Flush()
+		}(id, c)
+	}
+	var first error
+	for range clients {
+		if err := <-errs; err != nil && first == nil {
+			first = err
+		}
+	}
+	if first != nil {
+		return first
+	}
+	// Both ends quiet: one read per session moves every pipe's pin up to
+	// the present, so what the logs still retain is retained for good.
+	for _, c := range clients {
+		if _, err := c.Get(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// memShardSample is one pass's read-out.
+type memShardSample struct {
+	state collab.ShardState
+	heap  uint64
+}
+
+func memShardFail(format string, args ...any) {
+	fmt.Printf("MEM SHARD VIOLATION: "+format+"\n", args...)
+	os.Exit(1)
+}
+
+// memShardLeg runs passes for about budget (at least memShardMinPass) and
+// verifies the bounds and the reference. It prints its own report line.
+func memShardLeg(budget time.Duration) {
+	dir, err := os.MkdirTemp("", "soak-mem-shard-")
+	if err != nil {
+		memShardFail("mkdir: %v", err)
+	}
+	defer os.RemoveAll(dir)
+	l := memnet.Listen(64)
+	s, err := collab.ServeSharded(l, memShardInitial(), collab.ShardedOptions{Shards: 2, Dir: dir})
+	if err != nil {
+		memShardFail("serve: %v", err)
+	}
+	clients, err := memShardDial(l)
+	if err != nil {
+		memShardFail("dial: %v", err)
+	}
+	var samples []memShardSample
+	deadline := time.Now().Add(budget)
+	for len(samples) < memShardMinPass || time.Now().Before(deadline) {
+		if err := memShardPass(clients, len(samples)); err != nil {
+			memShardFail("%v", err)
+		}
+		st := s.ShardState()
+		samples = append(samples, memShardSample{state: st, heap: postGCHeap()})
+		if st.InFlight != 0 {
+			memShardFail("pass %d left %d claims in flight at quiescence", len(samples), st.InFlight)
+		}
+	}
+	for _, c := range clients {
+		if err := c.Bye(); err != nil {
+			memShardFail("bye: %v", err)
+		}
+	}
+	if err := s.Shutdown(); err != nil {
+		memShardFail("shutdown: %v", err)
+	}
+	passes := len(samples)
+	base, last := samples[1], samples[passes-1]
+	if last.state.Watermarks != base.state.Watermarks || base.state.Watermarks != memShardSessions {
+		memShardFail("watermark entries went %d → %d over passes 2..%d, want %d throughout (one per session)",
+			base.state.Watermarks, last.state.Watermarks, passes, memShardSessions)
+	}
+	if last.state.RetainedOps > base.state.RetainedOps+64 {
+		memShardFail("retained root-log ops grew %d → %d over passes 2..%d", base.state.RetainedOps, last.state.RetainedOps, passes)
+	}
+	if last.heap > base.heap+base.heap/4+(4<<20) {
+		memShardFail("post-GC heap grew %d → %d bytes over passes 2..%d", base.heap, last.heap, passes)
+	}
+
+	// The same passes on the single-process server are the authority for
+	// the documents and the edit count.
+	rl := memnet.Listen(64)
+	ref := collab.ServeDocs(rl, memShardInitial())
+	refClients, err := memShardDial(rl)
+	if err != nil {
+		memShardFail("reference dial: %v", err)
+	}
+	for pass := 0; pass < passes; pass++ {
+		if err := memShardPass(refClients, pass); err != nil {
+			memShardFail("reference: %v", err)
+		}
+	}
+	for _, c := range refClients {
+		if err := c.Bye(); err != nil {
+			memShardFail("reference bye: %v", err)
+		}
+	}
+	if err := ref.Shutdown(); err != nil {
+		memShardFail("reference shutdown: %v", err)
+	}
+	ops := int64(passes) * memShardSessions * memShardPassOps
+	if s.Edits() != ops || ref.Edits() != ops {
+		memShardFail("edits: sharded %d, reference %d, want exactly %d", s.Edits(), ref.Edits(), ops)
+	}
+	for id := 0; id < memShardSessions; id++ {
+		got, _ := s.Document(memShardDoc(id))
+		want, _ := ref.Document(memShardDoc(id))
+		if got != want || len(got) != 64 {
+			memShardFail("document %s: sharded %q, reference %q", memShardDoc(id), got, want)
+		}
+	}
+	fmt.Printf("sharded: %d passes × %d ops = %d ops on 2 journaled shards, %d sessions; pass 2 → pass %d: watermark entries %d → %d, in-flight claims 0 → 0, retained root-log ops %d → %d, post-GC heap %.1f → %.1f MB; documents and edits equal the single-process reference\n",
+		passes, memShardSessions*memShardPassOps, ops, memShardSessions, passes,
+		base.state.Watermarks, last.state.Watermarks, base.state.RetainedOps, last.state.RetainedOps,
+		float64(base.heap)/(1<<20), float64(last.heap)/(1<<20))
 }

@@ -199,7 +199,7 @@ func ServeSharded(public Listener, initial map[string]string, opts ShardedOption
 
 // startShard boots one shard incarnation and its router pipes. Caller
 // holds s.mu (or is in single-threaded construction).
-func (s *ShardedServer) startShard(id int, epoch uint64, contents map[string]string, dedupSeed map[string]string, editsBase int64) error {
+func (s *ShardedServer) startShard(id int, epoch uint64, contents map[string]string, marks map[string]uint64, editsBase int64) error {
 	cfg := shardHostConfig{
 		counters: s.counters,
 		tracer:   s.opts.Front.Tracer,
@@ -218,7 +218,7 @@ func (s *ShardedServer) startShard(id int, epoch uint64, contents map[string]str
 		cfg.log = log
 	}
 	net := s.opts.ShardNet(id)
-	h, err := startShardHost(id, epoch, contents, dedupSeed, editsBase, net, cfg)
+	h, err := startShardHost(id, epoch, contents, marks, editsBase, net, cfg)
 	if err != nil {
 		if cfg.log != nil {
 			cfg.log.Close()
@@ -270,7 +270,7 @@ func (s *ShardedServer) serveConn(socket net.Conn) {
 // ridFor builds the retry identity for a session request. It is a pure
 // function of (router, session, seq), so no matter how many times the
 // client or the router retries, the shard sees one identity and applies
-// once.
+// once; shards parse it back with splitRID.
 func (s *ShardedServer) ridFor(sess *Session, seq uint64) string {
 	return s.opts.RouterID + "." + sess.ID() + "." + strconv.FormatUint(seq, 10)
 }
@@ -629,13 +629,15 @@ func (s *ShardedServer) DrainShard(id int) error {
 //
 // The safe path is a fence handoff: every shard whose document set
 // changes is drained (listener and pipes closed, in-flight batches
-// finish, task tree completes), its exact documents, applied-rid table
+// finish, task tree completes), its exact documents, session watermarks
 // and edit count are collected, and fresh incarnations start at the new
-// epoch. Unaffected shards take the new epoch in place. Any op still in
-// flight against an old incarnation either completed before the drain
-// (and travels with the snapshot, rid included) or sees a dead pipe /
-// STALE fence and retries against the new route — exactly once either
-// way.
+// epoch, each seeded with the max-merge of every retired incarnation's
+// watermarks (a watermark says "final everywhere up to here", so it is
+// valid on whichever shard the session's documents land). Unaffected
+// shards take the new epoch in place. Any op still in flight against an
+// old incarnation either completed before the drain (and is covered by
+// the transferred watermark) or sees a dead pipe / STALE fence and
+// retries against the new route — exactly once either way.
 //
 // With UnsafeLiveHandoff the fence is off and sources are left running
 // while their documents are copied with live GETs — the planted
@@ -675,7 +677,7 @@ func (s *ShardedServer) rebalanceLocked(ids []int) error {
 	sort.Ints(order)
 
 	contents := make(map[string]string)
-	dedup := make(map[string]string) // rid → doc, all retired incarnations
+	marks := make(map[string]uint64) // max over all retired incarnations
 	if s.opts.UnsafeLiveHandoff {
 		// BUG (planted): snapshot moved documents from their still-running
 		// owners with live GETs and never fence or drain the sources. A
@@ -696,9 +698,7 @@ func (s *ShardedServer) rebalanceLocked(ids []int) error {
 			if h == nil {
 				continue
 			}
-			for rid, doc := range h.dedupSnapshot() {
-				dedup[rid] = doc
-			}
+			mergeMarks(marks, h.watermarks())
 			switch {
 			case !newRing.Contains(id):
 				// Drained source: left running, unrouted, unfenced — the
@@ -746,9 +746,7 @@ func (s *ShardedServer) rebalanceLocked(ids []int) error {
 			for k, v := range h.contents() {
 				contents[k] = v
 			}
-			for rid, doc := range h.dedupSnapshot() {
-				dedup[rid] = doc
-			}
+			mergeMarks(marks, h.watermarks())
 			s.editsBanked += h.finalEdits()
 			delete(s.hosts, id)
 			if pp := s.pipes[id]; pp != nil {
@@ -756,7 +754,7 @@ func (s *ShardedServer) rebalanceLocked(ids []int) error {
 			}
 			delete(s.pipes, id)
 			if err != nil {
-				return s.rollbackRebalanceLocked(nil, contents, dedup,
+				return s.rollbackRebalanceLocked(nil, contents, marks,
 					fmt.Errorf("collab: drain shard %d: %w", id, err))
 			}
 		}
@@ -775,25 +773,19 @@ func (s *ShardedServer) rebalanceLocked(ids []int) error {
 			continue
 		}
 		owned := make(map[string]string)
-		ownedDedup := make(map[string]string)
 		for i, name := range s.names {
 			if int(newRoute[i]) != id {
 				continue
 			}
 			content, ok := contents[name]
 			if !ok {
-				return s.rollbackRebalanceLocked(started, contents, dedup,
+				return s.rollbackRebalanceLocked(started, contents, marks,
 					fmt.Errorf("collab: handoff lost document %q", name))
 			}
 			owned[name] = content
 		}
-		for rid, doc := range dedup {
-			if idx := s.docIndexOf(doc); idx >= 0 && int(newRoute[idx]) == id {
-				ownedDedup[rid] = doc
-			}
-		}
-		if err := s.startShard(id, newEpoch, owned, ownedDedup, 0); err != nil {
-			return s.rollbackRebalanceLocked(started, contents, dedup, err)
+		if err := s.startShard(id, newEpoch, owned, marks, 0); err != nil {
+			return s.rollbackRebalanceLocked(started, contents, marks, err)
 		}
 		started = append(started, id)
 	}
@@ -812,13 +804,13 @@ func (s *ShardedServer) rebalanceLocked(ids []int) error {
 // mid-flight drain or start failure. The incarnations this rebalance
 // already started at the new epoch are killed — the route still points
 // at the old topology and s.mu is held, so no op can have reached them
-// and their seeded state is still in contents/dedup — and every old-ring
+// and their seeded state is still in contents/marks — and every old-ring
 // shard left without an incarnation restarts from the collected
-// snapshots at the OLD epoch under the OLD route, so its documents stay
+// snapshots and watermarks at the OLD epoch under the OLD route, so its documents stay
 // reachable instead of forwarding to a nil pipe forever. Epoch, ring and
 // route never advance; the cause (joined with any restart failure) is
 // returned so the rebalance still reports failed.
-func (s *ShardedServer) rollbackRebalanceLocked(started []int, contents, dedup map[string]string, cause error) error {
+func (s *ShardedServer) rollbackRebalanceLocked(started []int, contents map[string]string, marks map[string]uint64, cause error) error {
 	for _, id := range started {
 		if h := s.hosts[id]; h != nil {
 			h.kill()
@@ -834,7 +826,6 @@ func (s *ShardedServer) rollbackRebalanceLocked(started []int, contents, dedup m
 			continue
 		}
 		owned := make(map[string]string)
-		ownedDedup := make(map[string]string)
 		for i, name := range s.names {
 			if int(s.route[i]) != id {
 				continue
@@ -846,14 +837,9 @@ func (s *ShardedServer) rollbackRebalanceLocked(started []int, contents, dedup m
 			}
 			owned[name] = content
 		}
-		for rid, doc := range dedup {
-			if idx := s.docIndexOf(doc); idx >= 0 && int(s.route[idx]) == id {
-				ownedDedup[rid] = doc
-			}
-		}
 		// The drained incarnation's edits were banked above; the restarted
 		// one counts from zero on top, so Edits() stays exact.
-		if err := s.startShard(id, s.epoch, owned, ownedDedup, 0); err != nil {
+		if err := s.startShard(id, s.epoch, owned, marks, 0); err != nil {
 			cause = errors.Join(cause, fmt.Errorf("collab: rollback restart shard %d: %w", id, err))
 		}
 	}
@@ -873,9 +859,10 @@ func shardGainsDocs(id int, oldRoute, newRoute []int32) bool {
 }
 
 // liveGetLocked reads a document's current content straight off its
-// owning shard while holding s.mu — only the planted live-handoff bug
-// uses it. Pipe exchanges never take s.mu, so this cannot deadlock with
-// in-flight forwards.
+// owning shard while holding s.mu — the planted live-handoff bug copies
+// documents with it, ShardState uses it to make a shard's root merge.
+// Pipe exchanges never take s.mu, so this cannot deadlock with in-flight
+// forwards.
 func (s *ShardedServer) liveGetLocked(docIdx int) (string, error) {
 	id := int(s.route[docIdx])
 	pp := s.pipes[id]
@@ -919,11 +906,11 @@ func (s *ShardedServer) KillShard(id int) error {
 }
 
 // ResumeShard replays a killed shard's journal and boots a fresh
-// incarnation with the recovered documents, applied-rid table and edit
+// incarnation with the recovered documents, session watermarks and edit
 // count, then rejoins it at the current epoch. Ops acked before the kill
 // were flushed first (flush-on-sync), so they all reappear; ops in the
-// ack window die unacked and the owning sessions retry them — the rid
-// table decides exactly-once either way.
+// ack window die unacked and the owning sessions retry them — the
+// watermarks decide exactly-once either way.
 func (s *ShardedServer) ResumeShard(id int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -931,7 +918,7 @@ func (s *ShardedServer) ResumeShard(id int) error {
 		return fmt.Errorf("collab: shard %d is not killed", id)
 	}
 	path := filepath.Join(s.opts.Dir, journal.ShardDirName(id), "ops.log")
-	contents, dedup, edits, epoch, err := replayShardLog(path)
+	contents, marks, edits, epoch, err := replayShardLog(path)
 	if err != nil {
 		return fmt.Errorf("collab: resume shard %d: %w", id, err)
 	}
@@ -942,7 +929,7 @@ func (s *ShardedServer) ResumeShard(id int) error {
 	delete(s.killed, id)
 	// The replayed total becomes the new incarnation's edit base; its
 	// fresh counter counts only post-resume edits on top.
-	if err := s.startShard(id, s.epoch, contents, dedup, edits); err != nil {
+	if err := s.startShard(id, s.epoch, contents, marks, edits); err != nil {
 		return err
 	}
 	s.counters.Inc("shard_resumes")
@@ -950,11 +937,12 @@ func (s *ShardedServer) ResumeShard(id int) error {
 }
 
 // replayShardLog rebuilds a shard incarnation's state from its journal:
-// the snapshot frame (epoch, edit base, documents, applied rids) plus
-// every op frame applied in log order. Insert-only workloads replay to
+// the snapshot frame (epoch, edit base, documents, session watermarks)
+// plus every op frame applied in log order, each op raising its
+// session's watermark. Insert-only workloads replay to
 // the same marker multiset the live OT merge produced, which is what the
 // convergence fingerprint checks.
-func replayShardLog(path string) (contents map[string]string, dedup map[string]string, edits int64, epoch uint64, err error) {
+func replayShardLog(path string) (contents map[string]string, marks map[string]uint64, edits int64, epoch uint64, err error) {
 	log, frames, damage := shard.RecoverOpLog(path)
 	if log == nil {
 		return nil, nil, 0, 0, damage
@@ -964,7 +952,7 @@ func replayShardLog(path string) (contents map[string]string, dedup map[string]s
 		return nil, nil, 0, 0, fmt.Errorf("journal has no snapshot frame (damage: %v)", damage)
 	}
 	texts := make(map[string]*mergeable.Text)
-	dedup = make(map[string]string)
+	marks = make(map[string]uint64)
 	for _, line := range frames[0] {
 		tag, rest, _ := strings.Cut(line, " ")
 		switch tag {
@@ -977,9 +965,9 @@ func replayShardLog(path string) (contents map[string]string, dedup map[string]s
 			var content string
 			content, err = strconv.Unquote(quoted)
 			texts[name] = mergeable.NewText(content)
-		case "D":
-			rid, doc, _ := strings.Cut(rest, " ")
-			dedup[rid] = doc
+		case "W":
+			prefix, seq, _ := strings.Cut(rest, " ")
+			marks[prefix], err = strconv.ParseUint(seq, 10, 64)
 		default:
 			err = fmt.Errorf("bad snapshot record %q", line)
 		}
@@ -999,10 +987,14 @@ func replayShardLog(path string) (contents map[string]string, dedup map[string]s
 			if doc == nil {
 				return nil, nil, 0, 0, fmt.Errorf("op record for unknown document %q", name)
 			}
+			prefix, seq, ok := splitRID(rid)
+			if !ok {
+				return nil, nil, 0, 0, fmt.Errorf("op record %q carries a bad rid", line)
+			}
 			if status, _, _ := applyRequest(doc, cmd); strings.HasPrefix(status, "ERR") {
 				return nil, nil, 0, 0, fmt.Errorf("op record %q does not replay: %s", line, status)
 			}
-			dedup[rid] = name
+			marks[prefix] = max(marks[prefix], seq)
 			edits++
 		}
 	}
@@ -1010,7 +1002,7 @@ func replayShardLog(path string) (contents map[string]string, dedup map[string]s
 	for name, t := range texts {
 		contents[name] = t.String()
 	}
-	return contents, dedup, edits, epoch, nil
+	return contents, marks, edits, epoch, nil
 }
 
 // Drain flips the public front read-only.
@@ -1097,6 +1089,53 @@ func (s *ShardedServer) Stats() *stats.Counters { return s.counters }
 
 // MergeLatency returns the histogram of per-batch shard merge latencies.
 func (s *ShardedServer) MergeLatency() *stats.Histogram { return s.hist }
+
+// ShardState is a read-out of what the running shards hold on to between
+// batches — the quantities that must stay flat however many ops have been
+// applied.
+type ShardState struct {
+	Watermarks  int // session watermark entries, summed over shards
+	InFlight    int // rids claimed by batches not yet settled; 0 at quiescence
+	RetainedOps int // operations still held by the root documents' op logs
+}
+
+// ShardState reads the bounded-state gauges. Only a shard's root task may
+// look at its documents' logs, so each shard's retained-op count is taken
+// by the root after its next merge, which a GET of the shard's first
+// document makes happen. The service lock is held throughout: read-outs
+// are serialized and routed traffic waits for them.
+func (s *ShardedServer) ShardState() ShardState {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var st ShardState
+	for id, h := range s.hosts {
+		if s.killed[id] {
+			continue
+		}
+		h.mu.Lock()
+		st.Watermarks += len(h.marks)
+		st.InFlight += len(h.inflight)
+		h.mu.Unlock()
+		if len(h.names) == 0 {
+			continue
+		}
+		reply := make(chan int, 1)
+		h.retained <- reply
+		if _, err := s.liveGetLocked(s.docIndexOf(h.names[0])); err != nil {
+			select { // no merge was provoked: take the request back
+			case <-h.retained:
+			default:
+			}
+			continue
+		}
+		select {
+		case n := <-reply:
+			st.RetainedOps += n
+		case <-h.done:
+		}
+	}
+	return st
+}
 
 // shardPipes is the router's connection pool to one shard incarnation:
 // a fixed set of pipes, each a lazily-dialed connection with exclusive

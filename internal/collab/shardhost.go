@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"sort"
 	"strconv"
@@ -29,23 +30,38 @@ import (
 //	                                  → STALE <rid> <host-epoch>  epoch fence
 //	                                  → MOVED <rid>            doc not owned here
 //
-// rid is the router-assigned retry identity: at-least-once delivery from
-// the router collapses to exactly-once because a shard records every
-// applied rid (durably, when journaled) and answers retries from that
-// table. GETs carry rid "-": they are idempotent and skip the table.
+// rid is the router-assigned retry identity <router>.<session>.<seq>:
+// at-least-once delivery from the router collapses to exactly-once because
+// a shard keeps, per <router>.<session> prefix, the highest seq it applied
+// (durably, when journaled) and answers any seq at or below that watermark
+// by replay. One number per session is enough because the front forwards a
+// session's seq s+1 only after s resolved (see front.request and
+// requestFrame: both hold sess.proc and shed everything after the first
+// shed) — when a shard sees (S, s) fresh, every (S, s' < s) is final on
+// every shard. GETs carry rid "-": they are idempotent and skip the table.
 //
 // Each host is its own task tree — the per-shard single-writer merge
 // loop. Router pipes become connection tasks whose local copies are
 // OT-merged by the root, so concurrent pipes interleave exactly like
 // concurrent clients on the unsharded server.
 
-// ridClaim tracks one rid through apply: done closes when the op is
-// resolved (applied and, when journaled, flushed). A claim that fails
-// before resolution is deleted and its done closed, waking waiters to
-// re-claim.
-type ridClaim struct {
-	doc  string
-	done chan struct{}
+// splitRID parses a retry identity into its session prefix and seq.
+func splitRID(rid string) (prefix string, seq uint64, ok bool) {
+	i := strings.LastIndexByte(rid, '.')
+	if i <= 0 {
+		return "", 0, false
+	}
+	seq, err := strconv.ParseUint(rid[i+1:], 10, 64)
+	return rid[:i], seq, err == nil && seq > 0
+}
+
+// mergeMarks folds the watermarks in src into dst, keeping the higher seq.
+func mergeMarks(dst, src map[string]uint64) {
+	for prefix, seq := range src {
+		if seq > dst[prefix] {
+			dst[prefix] = seq
+		}
+	}
 }
 
 // shardHostConfig carries the shared plumbing a ShardedServer hands each
@@ -72,20 +88,31 @@ type shardHost struct {
 	ln        Listener
 	cfg       shardHostConfig
 
-	mu     sync.Mutex
-	dedup  map[string]*ridClaim
-	conns  map[net.Conn]struct{}
-	killed bool
+	mu sync.Mutex
+	// marks is the exactly-once state: rid prefix → highest applied seq.
+	// inflight holds the rids claimed by a batch still on its way through
+	// apply-sync-flush, each mapped to that batch's done channel; an entry
+	// lives only from claim to settle.
+	marks    map[string]uint64
+	inflight map[string]chan struct{}
+	conns    map[net.Conn]struct{}
+	killed   bool
+
+	// retained carries ShardState read-outs to the root task, the only
+	// goroutine that may look at the root documents' logs.
+	retained chan chan int
 
 	done chan struct{}
 	err  error
 }
 
-// startShardHost boots an incarnation over the given contents. dedupSeed
-// pre-resolves rids applied by earlier incarnations (handoff transfer or
-// oplog replay). When cfg.log is set, the incarnation's snapshot frame is
-// written before it serves, so a later replay starts from this state.
-func startShardHost(id int, epoch uint64, contents map[string]string, dedupSeed map[string]string, editsBase int64, ln Listener, cfg shardHostConfig) (*shardHost, error) {
+// startShardHost boots an incarnation over the given contents. marks seeds
+// the session watermarks with what earlier incarnations applied (handoff
+// transfer or oplog replay). When cfg.log is set, the incarnation's
+// snapshot frame is written before it serves, so a later replay starts
+// from this state; its records are sorted, so equal state writes equal
+// bytes.
+func startShardHost(id int, epoch uint64, contents map[string]string, marks map[string]uint64, editsBase int64, ln Listener, cfg shardHostConfig) (*shardHost, error) {
 	names := make([]string, 0, len(contents))
 	for name := range contents {
 		names = append(names, name)
@@ -98,16 +125,14 @@ func startShardHost(id int, epoch uint64, contents map[string]string, dedupSeed 
 		editsBase: editsBase,
 		ln:        ln,
 		cfg:       cfg,
-		dedup:     make(map[string]*ridClaim, len(dedupSeed)),
+		marks:     make(map[string]uint64, len(marks)),
+		inflight:  make(map[string]chan struct{}),
 		conns:     make(map[net.Conn]struct{}),
+		retained:  make(chan chan int, 1),
 		done:      make(chan struct{}),
 	}
 	h.epoch.Store(epoch)
-	for rid, doc := range dedupSeed {
-		c := &ridClaim{doc: doc, done: make(chan struct{})}
-		close(c.done)
-		h.dedup[rid] = c
-	}
+	mergeMarks(h.marks, marks)
 	data := make([]mergeable.Mergeable, 0, len(names)+1)
 	for _, name := range names {
 		doc := mergeable.NewText(contents[name])
@@ -117,14 +142,15 @@ func startShardHost(id int, epoch uint64, contents map[string]string, dedupSeed 
 	data = append(data, h.edits)
 
 	if cfg.log != nil {
-		snap := make([]string, 0, len(names)+len(dedupSeed)+2)
+		snap := make([]string, 0, len(names)+len(marks)+2)
 		snap = append(snap, fmt.Sprintf("E %d", epoch), fmt.Sprintf("B %d", editsBase))
 		for _, name := range names {
 			snap = append(snap, fmt.Sprintf("S %s %s", name, strconv.Quote(contents[name])))
 		}
-		for rid, doc := range dedupSeed {
-			snap = append(snap, fmt.Sprintf("D %s %s", rid, doc))
+		for prefix, seq := range marks {
+			snap = append(snap, fmt.Sprintf("W %s %d", prefix, seq))
 		}
+		sort.Strings(snap[2+len(names):])
 		if err := cfg.log.Append(snap); err != nil {
 			return nil, err
 		}
@@ -136,13 +162,26 @@ func startShardHost(id int, epoch uint64, contents map[string]string, dedupSeed 
 	go func() {
 		defer close(h.done)
 		h.err = task.RunWith(task.RunConfig{Obs: cfg.tracer}, func(ctx *task.Ctx, d []mergeable.Mergeable) error {
-			ctx.Spawn(h.acceptTask, d...)
+			// The acceptor never syncs, so it must not hold fresh copies: a
+			// spawned acceptor would pin version 0 of every document for the
+			// life of the incarnation. As a clone it pins nothing, and the
+			// root's logs trim behind the connection tasks after every merge.
+			ctx.Spawn(func(ctx *task.Ctx, _ []mergeable.Mergeable) error {
+				ctx.Clone(h.acceptTask)
+				return nil
+			}, d...)
 			for {
-				if _, err := ctx.MergeAny(); err != nil {
-					if errors.Is(err, task.ErrNothingToMerge) {
-						return nil
+				if _, err := ctx.MergeAny(); errors.Is(err, task.ErrNothingToMerge) {
+					return nil
+				}
+				select {
+				case reply := <-h.retained:
+					n := 0
+					for _, m := range d {
+						n += m.Log().RetainedLen()
 					}
-					continue
+					reply <- n
+				default:
 				}
 			}
 		}, data...)
@@ -227,11 +266,13 @@ type hostReq struct {
 	reply   string // fixed early reply (parse error / STALE / MOVED / replay)
 	apply   bool
 	mutated bool
-	claim   *ridClaim // claim owned by this batch, nil otherwise
+	prefix  string // rid's session prefix and seq, parsed for mutations
+	seq     uint64
+	claimed bool // rid is in h.inflight on behalf of this batch
 }
 
 // processBatch runs one frame (or bare line) of APPLYs through the
-// single-writer pipeline: fence, dedup claim, apply to the connection
+// single-writer pipeline: fence, rid claim, apply to the connection
 // task's copies, one merge for the whole batch, one oplog flush before
 // any ack (flush-on-sync), then replies in request order. A failed
 // merge propagates; a durability failure kills the incarnation (its
@@ -239,21 +280,9 @@ type hostReq struct {
 // router sheds its documents until a resume.
 func (h *shardHost) processBatch(ctx *task.Ctx, socket net.Conn, data []mergeable.Mergeable, lines []string) error {
 	reqs := make([]hostReq, len(lines))
-	inBatch := make(map[string]bool, len(lines))
 	edits := data[len(h.names)].(*mergeable.Counter)
 	needSync := false
-
-	release := func() {
-		for i := range reqs {
-			if c := reqs[i].claim; c != nil {
-				h.mu.Lock()
-				delete(h.dedup, reqs[i].rid)
-				h.mu.Unlock()
-				close(c.done)
-				reqs[i].claim = nil
-			}
-		}
-	}
+	var done chan struct{} // closed when this batch's claims settle
 
 	for i, line := range lines {
 		req := &reqs[i]
@@ -284,21 +313,24 @@ func (h *shardHost) processBatch(ctx *task.Ctx, socket net.Conn, data []mergeabl
 			needSync = true
 			continue
 		}
-		if inBatch[req.rid] {
-			req.reply = fmt.Sprintf("ERR %s duplicate rid in batch", req.rid)
+		var ok bool
+		if req.prefix, req.seq, ok = splitRID(req.rid); !ok {
+			req.reply = fmt.Sprintf("ERR %s bad rid", req.rid)
 			continue
 		}
-		inBatch[req.rid] = true
-		claim, replay := h.claimRID(req.rid, fields[3])
-		if replay {
+		if done == nil {
+			done = make(chan struct{})
+		}
+		switch fresh, replay := h.claim(req, done); {
+		case fresh:
+			req.claimed, req.apply, needSync = true, true, true
+		case replay:
 			h.cfg.counters.Inc("shard_replayed")
 			doc := data[req.docIdx].(*mergeable.Text)
 			req.reply = fmt.Sprintf("OK %s %s", req.rid, strconv.Quote(doc.String()))
-			continue
+		default:
+			req.reply = fmt.Sprintf("ERR %s duplicate rid in batch", req.rid)
 		}
-		req.claim = claim
-		req.apply = true
-		needSync = true
 	}
 
 	// Apply phase: every fresh op lands on this task's local copies.
@@ -312,14 +344,8 @@ func (h *shardHost) processBatch(ctx *task.Ctx, socket net.Conn, data []mergeabl
 		status, mutated, _ := applyRequest(doc, req.cmd)
 		req.mutated = mutated
 		if strings.HasPrefix(status, "ERR") {
-			// Never applied: release this rid so a corrected retry can land.
-			if req.claim != nil {
-				h.mu.Lock()
-				delete(h.dedup, req.rid)
-				h.mu.Unlock()
-				close(req.claim.done)
-				req.claim = nil
-			}
+			// Never applied: settle releases this rid without raising the
+			// watermark, so a corrected retry can land.
 			req.apply = false
 			req.reply = fmt.Sprintf("ERR %s %s", req.rid, strings.TrimPrefix(status, "ERR "))
 			continue
@@ -333,7 +359,7 @@ func (h *shardHost) processBatch(ctx *task.Ctx, socket net.Conn, data []mergeabl
 	if needSync {
 		start := time.Now()
 		if err := ctx.Sync(); err != nil {
-			release()
+			h.settle(reqs, done, false)
 			fmt.Fprintf(socket, "ERR - INTERNAL %v\n", err)
 			return err
 		}
@@ -349,26 +375,22 @@ func (h *shardHost) processBatch(ctx *task.Ctx, socket net.Conn, data []mergeabl
 	// only legacy, exactly as after a SIGKILL. When the log is closed
 	// because kill() already ran, this is a no-op beyond ending the task.
 	if len(records) > 0 && h.cfg.log != nil {
-		if err := h.cfg.log.Append(records); err != nil {
-			release()
-			h.kill()
-			return err
+		err := h.cfg.log.Append(records)
+		if err == nil {
+			err = h.cfg.log.Flush()
 		}
-		if err := h.cfg.log.Flush(); err != nil {
-			release()
+		if err != nil {
+			h.settle(reqs, done, false)
 			h.kill()
 			return err
 		}
 	}
 
 	// Resolve claims, then ack everything in request order.
+	h.settle(reqs, done, true)
 	var out []byte
 	for i := range reqs {
 		req := &reqs[i]
-		if req.claim != nil {
-			close(req.claim.done)
-			req.claim = nil
-		}
 		if req.reply == "" {
 			doc := data[req.docIdx].(*mergeable.Text)
 			req.reply = fmt.Sprintf("OK %s %s", req.rid, strconv.Quote(doc.String()))
@@ -380,29 +402,53 @@ func (h *shardHost) processBatch(ctx *task.Ctx, socket net.Conn, data []mergeabl
 	return nil
 }
 
-// claimRID resolves one rid against the applied table: (claim, false)
-// hands the caller ownership of a fresh rid; (nil, true) reports an
-// already-applied rid to answer by replay. A rid mid-flight on another
-// connection blocks until that flight resolves or releases.
-func (h *shardHost) claimRID(rid, doc string) (*ridClaim, bool) {
+// claim judges one mutation's rid: fresh hands it to the calling batch
+// until settle; replay means its seq is at or below the session's
+// watermark — answer, never re-apply; neither means the batch itself
+// claimed it earlier. A rid mid-flight in another connection's batch
+// blocks until that batch settles, then is judged again.
+func (h *shardHost) claim(req *hostReq, done chan struct{}) (fresh, replay bool) {
 	for {
 		h.mu.Lock()
-		c, ok := h.dedup[rid]
-		if !ok {
-			c = &ridClaim{doc: doc, done: make(chan struct{})}
-			h.dedup[rid] = c
-			h.mu.Unlock()
-			return c, false
-		}
-		select {
-		case <-c.done:
-			h.mu.Unlock()
-			return nil, true
-		default:
+		owner, busy := h.inflight[req.rid]
+		replay = req.seq <= h.marks[req.prefix]
+		if fresh = !replay && !busy; fresh {
+			h.inflight[req.rid] = done
 		}
 		h.mu.Unlock()
-		<-c.done // another connection owns this rid; wait it out
+		if fresh || replay || owner == done {
+			return fresh, replay
+		}
+		<-owner
 	}
+}
+
+// settle ends a batch's claims and wakes whoever waits on them. With
+// resolved set, every applied claim raises its session's watermark;
+// released claims leave it alone, so the router's retry lands fresh.
+func (h *shardHost) settle(reqs []hostReq, done chan struct{}, resolved bool) {
+	if done == nil {
+		return
+	}
+	h.mu.Lock()
+	for i := range reqs {
+		req := &reqs[i]
+		if !req.claimed {
+			continue
+		}
+		req.claimed = false
+		delete(h.inflight, req.rid)
+		if cur, known := h.marks[req.prefix]; resolved && req.apply && req.seq > cur {
+			if !known {
+				// The key outlives the batch, and the prefix is a slice of
+				// a whole frame line.
+				req.prefix = strings.Clone(req.prefix)
+			}
+			h.marks[req.prefix] = req.seq
+		}
+	}
+	h.mu.Unlock()
+	close(done)
 }
 
 func (h *shardHost) docIndex(name string) int {
@@ -482,21 +528,13 @@ func (h *shardHost) contents() map[string]string {
 	return m
 }
 
-// dedupSnapshot exports the applied-rid table for handoff. Valid only
-// after wait() (no claims are in flight then); unresolved claims are
-// dropped — their ops were never acked.
-func (h *shardHost) dedupSnapshot() map[string]string {
+// watermarks copies the session watermarks out for handoff. After wait()
+// no claim is in flight, so they cover exactly the acked ops; claims that
+// never settled were never acked.
+func (h *shardHost) watermarks() map[string]uint64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	m := make(map[string]string, len(h.dedup))
-	for rid, c := range h.dedup {
-		select {
-		case <-c.done:
-			m[rid] = c.doc
-		default:
-		}
-	}
-	return m
+	return maps.Clone(h.marks)
 }
 
 // finalEdits returns the incarnation's total applied-edit count. Valid

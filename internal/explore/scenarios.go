@@ -649,28 +649,64 @@ func openShardProbe(srv *collab.ShardedServer, book *shardNetBook) *shardProbe {
 		p.route[name] = srv.RouteOf(name)
 	}
 	for _, id := range srv.ShardIDs() {
-		ld := book.dialer(id)
-		if ld == nil {
-			continue
+		if pc, ok := book.dial(id, p.epoch); ok {
+			p.conns[id] = pc
 		}
-		c, err := ld.Dial()
-		if err != nil {
-			continue
-		}
-		c.SetDeadline(time.Now().Add(5 * time.Second))
-		r := bufio.NewReader(c)
-		if _, err := fmt.Fprintf(c, "SHELLO %d\n", p.epoch); err != nil {
-			c.Close()
-			continue
-		}
-		line, err := r.ReadString('\n')
-		if err != nil || !strings.HasPrefix(line, "OK ") {
-			c.Close()
-			continue
-		}
-		p.conns[id] = probeConn{c: c, r: r}
 	}
 	return p
+}
+
+// dial opens a connection to shard id's current incarnation and completes
+// the SHELLO handshake at epoch.
+func (b *shardNetBook) dial(id int, epoch uint64) (probeConn, bool) {
+	ld := b.dialer(id)
+	if ld == nil {
+		return probeConn{}, false
+	}
+	c, err := ld.Dial()
+	if err != nil {
+		return probeConn{}, false
+	}
+	c.SetDeadline(time.Now().Add(5 * time.Second))
+	r := bufio.NewReader(c)
+	if _, err := fmt.Fprintf(c, "SHELLO %d\n", epoch); err != nil {
+		c.Close()
+		return probeConn{}, false
+	}
+	line, err := r.ReadString('\n')
+	if err != nil || !strings.HasPrefix(line, "OK ") {
+		c.Close()
+		return probeConn{}, false
+	}
+	return probeConn{c: c, r: r}, true
+}
+
+// probeInsert delivers one insert of the direct-dial probe session —
+// retry identity probe.<seq>, marker probe<seq>; — to doc's current owner
+// at the current epoch, the way a router that lost the first reply would
+// deliver it again. Whether this is the first delivery or a duplicate, the
+// shard must answer OK with a document holding the marker exactly once:
+// applied the first time, answered from the session watermark ever after.
+func probeInsert(srv *collab.ShardedServer, book *shardNetBook, doc string, seq int) error {
+	epoch := srv.Epoch()
+	pc, ok := book.dial(srv.RouteOf(doc), epoch)
+	if !ok {
+		return fmt.Errorf("shard: probe cannot reach the owner of %q", doc)
+	}
+	defer pc.c.Close()
+	marker := fmt.Sprintf("probe%d;", seq)
+	if _, err := fmt.Fprintf(pc.c, "APPLY probe.%d %d %s INS 0 %s\n", seq, epoch, doc, strconv.Quote(marker)); err != nil {
+		return err
+	}
+	line, err := pc.r.ReadString('\n')
+	if err != nil {
+		return err
+	}
+	quoted, ok := strings.CutPrefix(strings.TrimSpace(line), fmt.Sprintf("OK probe.%d ", seq))
+	if content, err := strconv.Unquote(quoted); !ok || err != nil || strings.Count(content, marker) != 1 {
+		return fmt.Errorf("shard: probe.%d on %q answered %q, want OK with %q exactly once", seq, doc, line, marker)
+	}
+	return nil
 }
 
 // fire sends the stale write: one APPLY at the pre-handoff epoch for the
@@ -742,11 +778,16 @@ func shardCollect(srv *collab.ShardedServer, data []mergeable.Mergeable) error {
 // write waves, whether a write dialed before the handoff races it at the
 // stale epoch, and whether a shard is SIGKILLed and resumed from its
 // journal afterwards. Routed writes are handoff-transparent and the
-// epoch fence must turn every stale in-flight write away, so all
-// join/drain × handoff-point × in-flight-write × crash combinations
-// land on one fingerprint — the cross-shard determinism claim with the
-// handoff itself under explorer control. The unsafe variant
-// (shardStaleOwner) removes the fence and must split.
+// epoch fence must turn every stale in-flight write away. Duplicate
+// delivery is a decision too: a direct-dial session applies probe.1 and
+// probe.2 and delivers probe.1 again — at once, after the handoff moved
+// its document, or after the kill and resume of its shard — and the
+// session watermark, carried through handoff and journal replay, must
+// answer it without applying it. So all join/drain × handoff-point ×
+// in-flight-write × crash × duplicate-point combinations land on one
+// fingerprint — the cross-shard determinism claim with the handoff
+// itself under explorer control. The unsafe variant (shardStaleOwner)
+// removes the fence and must split.
 func Shard() Scenario {
 	return Scenario{
 		Name:          "shard",
@@ -850,6 +891,24 @@ func buildShard(env *Env, unsafe bool) (task.Func, []mergeable.Mergeable) {
 			return shardCollect(srv, data)
 		}
 
+		// The probe session writes names[1]: the document both membership
+		// plans move and whose shard the crash decision kills.
+		dup := env.Decide("shard.dup", 3) // probe.1 again: 0 at once, 1 after the handoff, 2 after the crash
+		redeliver := func(point int) error {
+			if dup != point {
+				return nil
+			}
+			return probeInsert(srv, book, names[1], 1)
+		}
+		for seq := 1; seq <= 2; seq++ {
+			if err := probeInsert(srv, book, names[1], seq); err != nil {
+				return err
+			}
+		}
+		if err := redeliver(0); err != nil {
+			return err
+		}
+
 		plan := env.Decide("shard.plan", 3) // 0 none, 1 join, 2 drain
 		handoff := func() error {
 			if plan == 2 {
@@ -888,6 +947,9 @@ func buildShard(env *Env, unsafe bool) (task.Func, []mergeable.Mergeable) {
 		} else if err := writeWave(1); err != nil {
 			return err
 		}
+		if err := redeliver(1); err != nil {
+			return err
+		}
 		if env.Decide("shard.crash", 2) == 1 {
 			id := srv.RouteOf(names[1])
 			if err := srv.KillShard(id); err != nil {
@@ -896,6 +958,9 @@ func buildShard(env *Env, unsafe bool) (task.Func, []mergeable.Mergeable) {
 			if err := srv.ResumeShard(id); err != nil {
 				return err
 			}
+		}
+		if err := redeliver(2); err != nil {
+			return err
 		}
 		if err := writeWave(2); err != nil {
 			return err

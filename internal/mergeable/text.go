@@ -2,12 +2,16 @@ package mergeable
 
 import (
 	"fmt"
+	"unicode/utf8"
 
 	"repro/internal/ot"
 )
 
 // Text is a mergeable text buffer — the collaborative-editing structure
 // operational transformation was invented for. Positions address runes.
+//
+// A Text owns its buffer: CloneValue and AdoptFrom copy, so nothing ever
+// aliases runes and every edit splices it in place, reusing capacity.
 type Text struct {
 	log   Log
 	runes []rune
@@ -76,11 +80,37 @@ func (t *Text) Delete(pos, n int) {
 }
 
 func (t *Text) mustApply(op ot.Op) {
-	out, err := ot.ApplyText(t.runes, op)
-	if err != nil {
+	if err := t.splice(op); err != nil {
 		panic(err)
 	}
-	t.runes = out
+}
+
+// splice applies one text operation to the buffer in place. It accepts,
+// rejects and decodes exactly like ot.ApplyText, which stays the oracle of
+// the differential test.
+func (t *Text) splice(op ot.Op) error {
+	switch v := op.(type) {
+	case ot.TextInsert:
+		if v.Pos < 0 || v.Pos > len(t.runes) {
+			return fmt.Errorf("ot: %s out of range for length %d", v, len(t.runes))
+		}
+		n, old := utf8.RuneCountInString(v.Text), len(t.runes)
+		t.runes = append(t.runes, make([]rune, n)...)
+		copy(t.runes[v.Pos+n:], t.runes[v.Pos:old])
+		i := v.Pos
+		for _, r := range v.Text {
+			t.runes[i] = r
+			i++
+		}
+		return nil
+	case ot.TextDelete:
+		if v.N < 0 || v.Pos < 0 || v.Pos+v.N > len(t.runes) {
+			return fmt.Errorf("ot: %s out of range for length %d", v, len(t.runes))
+		}
+		t.runes = append(t.runes[:v.Pos], t.runes[v.Pos+v.N:]...)
+		return nil
+	}
+	return fmt.Errorf("ot: %s is not a text operation", op.Kind())
 }
 
 // CloneValue implements Mergeable.
@@ -93,11 +123,9 @@ func (t *Text) ApplyRemote(ops []ot.Op) error {
 	for _, op := range ops {
 		v, isAppend := op.(ot.TextInsert)
 		isAppend = isAppend && v.Pos == len(t.runes) && t.fp.ok
-		out, err := ot.ApplyText(t.runes, op)
-		if err != nil {
+		if err := t.splice(op); err != nil {
 			return err
 		}
-		t.runes = out
 		if isAppend {
 			t.fp.h = fnvFoldString(t.fp.h, v.Text)
 		} else {
@@ -113,7 +141,7 @@ func (t *Text) AdoptFrom(src Mergeable) error {
 	if !ok {
 		return adoptErr(t, src)
 	}
-	t.runes = append(t.runes[:0:0], s.runes...)
+	t.runes = append(t.runes[:0], s.runes...)
 	t.fp = s.fp
 	return nil
 }

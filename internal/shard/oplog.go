@@ -12,15 +12,19 @@ import (
 // append-only file of batch frames, one frame per acked batch, flushed
 // before the batch's replies go out (the flush-on-sync rule). After a
 // SIGKILL the next incarnation replays the surviving frames to rebuild
-// its documents and its applied-rid dedup table, so a router retrying an
+// its documents and its session watermarks, so a router retrying an
 // acked-but-unanswered op is deduplicated across the crash.
 //
 // The log's unit is the frame, not the byte: a frame either recovers
 // whole (its CRC held) or marks the end of usable history. Damage is
 // torn-tail tolerated — RecoverOpLog truncates at the first bad frame so
 // re-opened logs append from a clean boundary. The record lines inside
-// each frame are opaque to this package; internal/collab encodes
-// snapshot and op records on top.
+// each frame are opaque to this package; internal/collab encodes them on
+// top: a first frame of snapshot records (E epoch, B edit base, S
+// document, W session watermark — each group sorted, so equal state
+// writes equal bytes), then one frame of A op records per acked batch.
+// A log's size is bounded by its incarnation: every start truncates and
+// re-snapshots, nothing compacts in between.
 type OpLog struct {
 	mu     sync.Mutex
 	f      *os.File

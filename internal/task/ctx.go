@@ -100,18 +100,20 @@ func (c *Ctx) Spawn(fn Func, data ...mergeable.Mergeable) *Task {
 	bases, floors := bf[:n:n], bf[n:]
 	clear(floors) // reused backing: floors must start at zero
 	for i, m := range parents {
+		lg := m.Log()
+		if lg.Stale() {
+			// A clone's placeholder belongs to no parent version, so nothing
+			// based on it could be merged soundly — and the clone holds no
+			// pin on the history such a merge would transform against.
+			panic("task: Spawn over stale data; a cloned task must call Sync() before using its data")
+		}
 		// Flush the parent's local operations into the committed history so
 		// the child's base version covers everything in its copy.
-		lg := m.Log()
 		lg.FlushLocal()
 		bases[i] = lg.CommittedLen()
 		copies[i] = m.CloneValue()
-		// Track the structure for history trimming. The log's tracker token
-		// short-circuits re-insertion: fanning many children over the same
-		// data set pays one append per structure total, not per spawn.
 		if lg.Tracker() != p {
-			p.tracked = append(p.tracked, m)
-			lg.SetTracker(p)
+			p.trackHistory(m)
 		}
 	}
 	initTask(child, p, fn, copies, parents, bases, floors, rt)
@@ -134,9 +136,10 @@ func (c *Ctx) Spawn(fn Func, data ...mergeable.Mergeable) *Task {
 // The clone receives placeholder copies of the caller's data set. As the
 // paper notes, that inherited value "will most likely be outdated", so the
 // copies are marked stale: the clone must call Sync() — which refreshes
-// them from the parent — before touching them. Values that are not
-// mergeable data (sockets, request payloads) travel into fn as closure
-// captures.
+// them from the parent — before touching them. Until that first Sync the
+// clone pins none of the parent's history (a clone that never syncs, like
+// an accept loop, never holds it down). Values that are not mergeable data
+// (sockets, request payloads) travel into fn as closure captures.
 //
 // Clone panics when called on the root task, which has no parent to attach
 // a sibling to.
@@ -178,6 +181,7 @@ func (c *Ctx) Clone(fn Func) *Task {
 	copy(bases, t.bases)
 	clear(floors)
 	initTask(sib, p, fn, copies, parents, bases, floors, t.runtime)
+	sib.unsynced = true
 	p.registerChild(sib)
 	if tr != nil {
 		// The span goes on the cloning task's own track (the clone caller is

@@ -207,15 +207,26 @@ func (t *Task) awaitAny(set map[*Task]bool) *Task {
 // spawner's own live pins until then — for a clone, by the cloning
 // sibling's) so pins are only ever touched from the goroutine that owns
 // the logs. Called before any merge of c and before any trim pass that
-// observes c live; idempotent via c.pinned.
+// observes c live; idempotent via c.pinned. A clone that has not synced
+// yet is skipped: its bases are inherited, its copies placeholders, and the
+// refresh of its first Sync pins the base it actually gets.
 func (t *Task) adoptPins(c *Task) {
-	if c.pinned {
+	if c.pinned || c.unsynced {
 		return
 	}
 	for i, pm := range c.parentData {
 		pm.Log().Pin(c.bases[i])
 	}
 	c.pinned = true
+}
+
+// trackHistory adds m to t's history-tracking set. Callers first check the
+// log's tracker token (Tracker() != t), which short-circuits re-insertion:
+// fanning many children over the same data set pays one append per
+// structure total, not per spawn.
+func (t *Task) trackHistory(m mergeable.Mergeable) {
+	t.tracked = append(t.tracked, m)
+	m.Log().SetTracker(t)
 }
 
 // dropPins releases c's base pins when the parent reaps it.
@@ -376,12 +387,6 @@ func (t *Task) mergeChild(c *Task, cfg *mergeConfig) error {
 		}
 	}
 
-	// Whether merged or dismissed, the parent has now consumed the child's
-	// contribution up to here.
-	for i := range c.data {
-		c.floors[i] = c.data[i].Log().CommittedLen()
-	}
-
 	if ph == phaseCompleted {
 		switch {
 		case aborted && c.err == nil:
@@ -413,17 +418,45 @@ func (t *Task) mergeChild(c *Task, cfg *mergeConfig) error {
 	case discard:
 		resumeErr = ErrMergeRejected
 	}
-	if !aborted {
-		for i, pm := range c.parentData {
+	for i, pm := range c.parentData {
+		// Whether merged or dismissed, the parent has now consumed the
+		// child's contribution up to here.
+		cl := c.data[i].Log()
+		wrote := cl.CommittedLen() != c.floors[i]
+		c.floors[i] = cl.CommittedLen()
+		if aborted {
+			continue
+		}
+		lg := pm.Log()
+		nb := lg.CommittedLen()
+		// Refresh only what moved. A copy the child has not written since
+		// its last refresh still equals the parent at the child's base, and
+		// a parent still at that base has not changed either (every mutation
+		// commits at least one operation), so the copy already is what
+		// AdoptFrom would make it: a Sync costs the structures either side
+		// touched, not the whole data set. A clone's first Sync always
+		// refreshes — its copies are placeholders.
+		if wrote || nb != c.bases[i] || c.unsynced {
 			if err := c.data[i].AdoptFrom(pm); err != nil {
 				panic(fmt.Sprintf("task: refresh failed: %v", err))
 			}
-			c.data[i].Log().ClearStale()
-			lg := pm.Log()
-			nb := lg.CommittedLen()
-			lg.MovePin(c.bases[i], nb)
-			c.bases[i] = nb
+			cl.ClearStale()
 		}
+		if c.pinned {
+			lg.MovePin(c.bases[i], nb)
+		} else {
+			// A clone's first Sync: this is the first base it holds for real.
+			// The log may have lost its last pin (and with it its place in
+			// the tracking set) while the clone held none.
+			lg.Pin(nb)
+			if lg.Tracker() != t {
+				t.trackHistory(pm)
+			}
+		}
+		c.bases[i] = nb
+	}
+	if !aborted {
+		c.pinned, c.unsynced = true, false
 	}
 	if !t.runtime.gcDisable {
 		// The parent has consumed the child's contribution up to the floor

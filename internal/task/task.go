@@ -114,6 +114,13 @@ type Task struct {
 	// parent's logs. Only the parent's goroutine reads or writes it, always
 	// before any trim of the histories the pins protect.
 	pinned bool
+	// unsynced marks a clone that has not completed its first Sync. Its
+	// copies are stale placeholders it cannot write, so nothing it holds was
+	// derived from a parent version and no transform can ever need history
+	// below its base: it pins nothing until the refresh of that first Sync
+	// gives it real copies and a real base. Written by Clone before the task
+	// is registered, afterwards only by the parent's goroutine.
+	unsynced bool
 	// rng is the lazily created task-local deterministic random source
 	// (see Ctx.Rand).
 	rng *rand.Rand
@@ -299,6 +306,7 @@ func initTask(t *Task, parent *Task, fn Func, data, parentData []mergeable.Merge
 	t.merged = false
 	t.abortFlag.Store(false)
 	t.pinned = false
+	t.unsynced = false
 	t.rng = nil
 	t.track = ""
 	t.runtime = rt
