@@ -119,21 +119,13 @@ func mergeManyStructsBody(b *testing.B, structs, ops int) {
 }
 
 // BenchmarkMergeManyStructs is the merge-scaling family: 1/8/64 structures
-// × 10/100 concurrent operations each, under the serial and the parallel
-// merge engine. On a single-core machine the parallel engine falls back to
-// the inline serial path, so the two series there also document that the
-// gate costs nothing when it cannot win.
+// × 10/100 concurrent operations each.
 func BenchmarkMergeManyStructs(b *testing.B) {
-	defer task.SetParallelMerge(true)
-	for _, engine := range []string{"serial", "parallel"} {
-		for _, structs := range []int{1, 8, 64} {
-			for _, ops := range []int{10, 100} {
-				name := fmt.Sprintf("%s/structs=%d/ops=%d", engine, structs, ops)
-				b.Run(name, func(b *testing.B) {
-					task.SetParallelMerge(engine == "parallel")
-					mergeManyStructsBody(b, structs, ops)
-				})
-			}
+	for _, structs := range []int{1, 8, 64} {
+		for _, ops := range []int{10, 100} {
+			b.Run(fmt.Sprintf("structs=%d/ops=%d", structs, ops), func(b *testing.B) {
+				mergeManyStructsBody(b, structs, ops)
+			})
 		}
 	}
 }

@@ -49,10 +49,9 @@ import (
 // their in-run GC-off / unbounded ablation partners *are* their
 // baselines) carry zeros.
 var baselines = map[string]baseline{
-	"spawn_copy_overhead":                {NsPerOp: 59922, AllocsPerOp: 480},
-	"merge_many_structs_64x100_serial":   {NsPerOp: 581530, AllocsPerOp: 7939},
-	"merge_many_structs_64x100_parallel": {NsPerOp: 560454, AllocsPerOp: 7939},
-	"spawn_merge_roundtrip":              {NsPerOp: 1808, AllocsPerOp: 7},
+	"spawn_copy_overhead":       {NsPerOp: 59922, AllocsPerOp: 480},
+	"merge_many_structs_64x100": {NsPerOp: 581530, AllocsPerOp: 7939},
+	"spawn_merge_roundtrip":     {NsPerOp: 1808, AllocsPerOp: 7},
 	// Same workload as spawn_merge_roundtrip, run through the hook-bearing
 	// RunWith entry point with tracing disabled. The observability layer
 	// must be free when off (BenchmarkSpawnMergeTraceOff guards allocs/op
@@ -136,16 +135,9 @@ func families() []family {
 				}
 			}
 		}},
-		// BenchmarkMergeManyStructs 64×100, both engine settings.
-		{"merge_many_structs_64x100_serial", func(b *testing.B) {
-			task.SetParallelMerge(false)
-			defer task.SetParallelMerge(true)
-			mergeManyStructs(b, 64, 100)
-		}},
-		{"merge_many_structs_64x100_parallel", func(b *testing.B) {
-			task.SetParallelMerge(true)
-			mergeManyStructs(b, 64, 100)
-		}},
+		// BenchmarkMergeManyStructs 64×100 (recorded as ..._serial up to
+		// BENCH_PR10.json, next to the deleted transform pool's ..._parallel).
+		{"merge_many_structs_64x100", func(b *testing.B) { mergeManyStructs(b, 64, 100) }},
 		// BenchmarkSpawnMergeRoundtrip: one child, one op, one merge.
 		{"spawn_merge_roundtrip", func(b *testing.B) {
 			b.ReportAllocs()

@@ -1,7 +1,8 @@
 package netsim
 
 import (
-	"fmt"
+	"hash/fnv"
+	"strconv"
 	"time"
 
 	"repro/internal/mergeable"
@@ -26,17 +27,24 @@ type Result struct {
 }
 
 // fingerprintTraces folds the per-host processing traces into one
-// order-sensitive hash. The trace — which messages a host processed, in
-// which order — is precisely where the conventional non-deterministic
-// implementation shows run-to-run variation.
+// order-sensitive hash: per host FNV-1a (mergeable.FingerprintString's
+// hash) of "host<id>:" followed by "<digest in hex>," for every digest,
+// written to the hash as produced — building the string first was quadratic
+// in the trace length and most of what a run allocated. The trace — which
+// messages a host processed, in which order — is precisely where the
+// conventional non-deterministic implementation shows run-to-run variation.
 func fingerprintTraces(traces [][]uint64) uint64 {
 	fps := make([]uint64, 0, len(traces))
+	h := fnv.New64a()
+	buf := make([]byte, 0, 32)
 	for id, tr := range traces {
-		s := fmt.Sprintf("host%d:", id)
+		h.Reset()
+		buf = strconv.AppendInt(append(buf[:0], "host"...), int64(id), 10)
+		h.Write(append(buf, ':'))
 		for _, d := range tr {
-			s += fmt.Sprintf("%x,", d)
+			h.Write(append(strconv.AppendUint(buf[:0], d, 16), ','))
 		}
-		fps = append(fps, mergeable.FingerprintString(s))
+		fps = append(fps, h.Sum64())
 	}
 	return mergeable.CombineFingerprints(fps...)
 }
@@ -47,11 +55,18 @@ func fingerprintTraces(traces [][]uint64) uint64 {
 // oracle even where processing order legitimately differs.
 func (r Result) TraceMultisetFingerprint() uint64 {
 	fps := make([]uint64, 0, len(r.Traces))
+	h := fnv.New64a()
+	buf := make([]byte, 0, 32)
 	for id, tr := range r.Traces {
+		buf = append(strconv.AppendInt(append(buf[:0], 'h'), int64(id), 10), '/')
+		prefix := len(buf)
 		var sum uint64
 		for _, d := range tr {
-			// Commutative fold per host: order-insensitive, host-sensitive.
-			sum += mergeable.FingerprintString(fmt.Sprintf("h%d/%x", id, d))
+			// Commutative fold per host of FNV-1a("h<id>/<digest in hex>"):
+			// order-insensitive, host-sensitive.
+			h.Reset()
+			h.Write(strconv.AppendUint(buf[:prefix], d, 16))
+			sum += h.Sum64()
 		}
 		fps = append(fps, sum)
 	}

@@ -19,9 +19,11 @@ import (
 // becomes deterministic under Spawn & Merge.
 //
 // Data layout passed to every host task: queues[0..H-1], traces[0..H-1]
-// (per-host processing logs), then the global hop counter. Copying all of
-// them at every spawn and sync is exactly the "constant overhead" the
-// paper measures (20 tasks × 20 queues).
+// (per-host processing logs), then the global hop counter. Binding all of
+// them to every host (20 tasks × 41 structures) is the "constant overhead"
+// the paper measures: clones are O(1) and a Sync refreshes only the
+// positions that moved, but every round still flushes, re-pins and — for
+// whatever another host wrote — refreshes each position of each host.
 func RunSpawnMerge(cfg Config) (Result, error) {
 	h := cfg.Hosts
 	queues := make([]messageQueue, h)

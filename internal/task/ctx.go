@@ -117,6 +117,7 @@ func (c *Ctx) Spawn(fn Func, data ...mergeable.Mergeable) *Task {
 		}
 	}
 	initTask(child, p, fn, copies, parents, bases, floors, rt)
+	child.aliased = bindsAlias(parents)
 	p.registerChild(child)
 	if tr != nil {
 		// Named by the child's stable path; the duration covers the deep
@@ -182,6 +183,7 @@ func (c *Ctx) Clone(fn Func) *Task {
 	clear(floors)
 	initTask(sib, p, fn, copies, parents, bases, floors, t.runtime)
 	sib.unsynced = true
+	sib.aliased = t.aliased
 	p.registerChild(sib)
 	if tr != nil {
 		// The span goes on the cloning task's own track (the clone caller is

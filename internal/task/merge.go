@@ -14,10 +14,11 @@ import (
 
 // Condition is a post-condition evaluated against a preview of the merge
 // result (Section II.D): copies of the parent structures with the child's
-// transformed operations applied, in the child's data order. Returning
-// false rejects the merge — the child's changes are discarded, a rollback
-// that (unlike transactional memory) only ever happens because the
-// application said so, never because of write-write conflicts.
+// transformed operations applied, in the child's data order (positions
+// bound to one parent structure share one copy, holding all of them).
+// Returning false rejects the merge — the child's changes are discarded, a
+// rollback that (unlike transactional memory) only ever happens because
+// the application said so, never because of write-write conflicts.
 type Condition func(preview []mergeable.Mergeable) bool
 
 // MergeOption configures a merge call.
@@ -84,6 +85,96 @@ func releaseMergeScratch(ms *mergeScratch) {
 		clear(ms.pending)
 	}
 	mergeScratchPool.Put(ms)
+}
+
+// transformChild computes the child's transformed contribution for every
+// data position: transformed[i] is c.data[i]'s outgoing operations
+// compacted (adjacent pops and appends collapse into ranges, which shrinks
+// the quadratic transform and the parent's history growth) and rewritten to
+// apply after the parent history the child has not seen. A position the
+// child did not write costs one version comparison and stays nil. Positions
+// are independent except in an aliased child (see Task.aliased), where a
+// later position also transforms against the earlier positions'
+// still-pending results on the same parent structure — they will have been
+// applied by the time its own operations are.
+//
+// The transform runs inline on the merging goroutine: a merge typically
+// carries a handful of operations on a handful of positions, less work
+// than handing any of it to another goroutine (DESIGN.md, "why the merge
+// is inline").
+//
+// durs, when non-nil (tracing on), receives each written position's
+// transform time; it must have length len(c.parentData). The result table
+// and the transform windows are carved from ms and stay valid until the
+// scratch is released, which the caller does once the merge has committed
+// them.
+func transformChild(c *Task, ms *mergeScratch, durs []time.Duration) [][]ot.Op {
+	n := len(c.parentData)
+	transformed := ms.transformed
+	if cap(transformed) < n {
+		transformed = make([][]ot.Op, n)
+	} else {
+		// Entries up to cap were nil'ed when their merge released the
+		// scratch, so the reslice needs no clearing.
+		transformed = transformed[:n]
+	}
+	ms.transformed = transformed
+	for i, pm := range c.parentData {
+		cl := c.data[i].Log()
+		if cl.CommittedLen() == c.floors[i] {
+			continue
+		}
+		var start time.Time
+		if durs != nil {
+			start = time.Now()
+		}
+		server := pm.Log().CommittedSince(c.bases[i])
+		if c.aliased {
+			if prior := ms.pending[pm]; len(prior) > 0 {
+				merged := make([]ot.Op, 0, len(server)+len(prior))
+				merged = append(merged, server...)
+				merged = append(merged, prior...)
+				server = merged
+			}
+		}
+		childOps := ot.CompactSeq(cl.CommittedSince(c.floors[i]))
+		transformed[i] = ms.ot.TransformAgainst(childOps, server)
+		if c.aliased && len(transformed[i]) > 0 {
+			if ms.pending == nil {
+				ms.pending = make(map[mergeable.Mergeable][]ot.Op)
+			}
+			ms.pending[pm] = append(ms.pending[pm], transformed[i]...)
+		}
+		if durs != nil {
+			durs[i] = time.Since(start)
+		}
+	}
+	return transformed
+}
+
+// bindsAlias reports whether some structure is bound at more than one
+// position of a child's data set. Spawn decides it once per child; the
+// usual handful of structures is scanned pairwise, a wide binding pays for
+// a map.
+func bindsAlias(parents []mergeable.Mergeable) bool {
+	if len(parents) <= 64 {
+		for i := 1; i < len(parents); i++ {
+			for _, q := range parents[:i] {
+				if parents[i] == q {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	seen := make(map[mergeable.Mergeable]struct{}, len(parents))
+	for _, m := range parents {
+		if _, dup := seen[m]; dup {
+			return true
+		}
+		seen[m] = struct{}{}
+	}
+	return false
 }
 
 // mergeSet waits for and merges the given children in slice order. Skips
@@ -296,33 +387,19 @@ func (t *Task) mergeChild(c *Task, cfg *mergeConfig) error {
 
 	appliedOps := 0
 	if !discard {
-		// Transform the child's operations against the unseen history.
-		// The outgoing contribution is compacted first (adjacent pops and
-		// appends collapse into ranges), which shrinks the quadratic
-		// transform and the parent's history growth without touching any
-		// version bookkeeping. When the same parent structure appears at
-		// several data positions, later entries also transform against the
-		// earlier entries' still-pending operations — they will have been
-		// applied by the time the later ops are. Independent positions are
-		// fanned over the transform worker pool (parallel.go); the apply
-		// loop below stays serial in position order, so the merge result is
-		// bit-identical to a fully serial merge.
 		// transformed is nil when the child contributed nothing; the
 		// preview and apply steps then see empty contributions.
 		var transformed [][]ot.Op
 		if contributed {
 			ms := mergeScratchPool.Get().(*mergeScratch)
 			defer releaseMergeScratch(ms)
-			// With tracing on, transformChild fills per-position durations
-			// (measured inside the engine, so parallel positions report their
-			// own time, not the wall-clock of the whole wave). Spans are
-			// emitted here in position order regardless of which engine ran,
-			// keeping the tree identical across serial and parallel merges.
+			// With tracing on, transformChild fills per-position durations;
+			// one transform span per position, in position order.
 			var tdurs []time.Duration
 			if tr != nil {
 				tdurs = make([]time.Duration, len(c.parentData))
 			}
-			transformed = t.transformChild(c, ms, tdurs)
+			transformed = transformChild(c, ms, tdurs)
 			if tr != nil {
 				for i := range transformed {
 					tr.Emit(mtrack, obs.KindTransform, "s"+strconv.Itoa(i), mseq, int64(len(transformed[i])), tdurs[i])
@@ -339,7 +416,21 @@ func (t *Task) mergeChild(c *Task, cfg *mergeConfig) error {
 		if cfg.cond != nil {
 			preview := make([]mergeable.Mergeable, len(c.parentData))
 			for i, pm := range c.parentData {
-				pv := pm.CloneValue()
+				var pv mergeable.Mergeable
+				if c.aliased {
+					// Positions bound to one parent structure preview one copy:
+					// the later position's operations were transformed to apply
+					// after the earlier one's.
+					for j, qm := range c.parentData[:i] {
+						if qm == pm {
+							pv = preview[j]
+							break
+						}
+					}
+				}
+				if pv == nil {
+					pv = pm.CloneValue()
+				}
 				if err := pv.ApplyRemote(opsAt(i)); err != nil {
 					panic(fmt.Sprintf("task: merge preview failed, transformation invariant broken: %v", err))
 				}
@@ -356,6 +447,10 @@ func (t *Task) mergeChild(c *Task, cfg *mergeConfig) error {
 				var astart time.Time
 				if tr != nil {
 					astart = time.Now()
+				} else if len(transformed[i]) == 0 {
+					// Nothing to apply or commit. With tracing on the position
+					// still gets its (empty) apply span.
+					continue
 				}
 				if err := pm.ApplyRemote(transformed[i]); err != nil {
 					panic(fmt.Sprintf("task: merge failed, transformation invariant broken: %v", err))

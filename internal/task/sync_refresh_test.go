@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -297,5 +298,70 @@ func TestSyncRoundTripAllocsIndependentOfDataSet(t *testing.T) {
 			t.Errorf("one Sync round trip over %d documents, one edited: %.0f allocs, want ≤ 16", n, allocs)
 		}
 		t.Logf("%.1f allocs per Sync round trip", allocs)
+	})
+}
+
+// TestSyncRoundTripAllocsFollowWrites guards the Figure 3 shape: one
+// long-lived child bound to 41 structures that writes 4 of them and Syncs.
+// A round trip allocates the same at GOMAXPROCS 1 and 4 — the merge has one
+// inline path, nothing about it depends on the cores beside it — and no
+// more when the 37 structures the child merely holds become 370.
+// (testing.AllocsPerRun pins GOMAXPROCS to 1, so the count is taken from
+// MemStats directly.)
+func TestSyncRoundTripAllocsFollowWrites(t *testing.T) {
+	const written, rounds = 4, 200
+	measure := func(procs, held int) (allocs uint64) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		data := make([]mergeable.Mergeable, written+held)
+		for i := range data {
+			data[i] = mergeable.NewList(i)
+		}
+		step := make(chan struct{})
+		err := Run(func(ctx *Ctx, d []mergeable.Mergeable) error {
+			kids := []*Task{ctx.Spawn(func(ctx *Ctx, d []mergeable.Mergeable) error {
+				for range step {
+					for _, m := range d[:written] {
+						l := m.(*mergeable.List[int])
+						l.Append(7)
+						l.Delete(0)
+					}
+					if err := ctx.Sync(); err != nil {
+						return err
+					}
+				}
+				return nil
+			}, d...)}
+			defer close(step)
+			var before, after runtime.MemStats
+			for i := -8; i < rounds; i++ { // eight warm-up round trips
+				if i == 0 {
+					runtime.ReadMemStats(&before)
+				}
+				step <- struct{}{}
+				if err := ctx.MergeAllFromSet(kids); err != nil {
+					return err
+				}
+			}
+			runtime.ReadMemStats(&after)
+			allocs = (after.Mallocs - before.Mallocs) / rounds
+			return nil
+		}, data...)
+		if err != nil {
+			t.Error(err) // not Fatal: WithTimeout runs this off the test goroutine
+		}
+		return allocs
+	}
+	testutil.WithTimeout(t, 30*time.Second, func() {
+		base := measure(1, 37)
+		if base > 12*written {
+			t.Errorf("one Sync round trip over 41 structures, 4 written: %d allocs, want ≤ %d", base, 12*written)
+		}
+		if got := measure(4, 37); got != base {
+			t.Errorf("GOMAXPROCS=4: %d allocs per round trip, %d at GOMAXPROCS=1", got, base)
+		}
+		if got := measure(1, 370); got > base {
+			t.Errorf("370 untouched structures: %d allocs per round trip, %d with 37", got, base)
+		}
+		t.Logf("%d allocs per Sync round trip", base)
 	})
 }

@@ -121,6 +121,12 @@ type Task struct {
 	// gives it real copies and a real base. Written by Clone before the task
 	// is registered, afterwards only by the parent's goroutine.
 	unsynced bool
+	// aliased reports whether some parent structure is bound at more than
+	// one data position (Spawn(f, x, x)) — the one case where positions of a
+	// merge depend on each other. parentData never changes, so Spawn decides
+	// it once and a clone inherits its sibling's answer; every merge of a
+	// child with distinct positions then skips the chaining bookkeeping.
+	aliased bool
 	// rng is the lazily created task-local deterministic random source
 	// (see Ctx.Rand).
 	rng *rand.Rand
@@ -307,6 +313,7 @@ func initTask(t *Task, parent *Task, fn Func, data, parentData []mergeable.Merge
 	t.abortFlag.Store(false)
 	t.pinned = false
 	t.unsynced = false
+	t.aliased = false
 	t.rng = nil
 	t.track = ""
 	t.runtime = rt
