@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-gate figure3 figure3-full soak soak-trace soak-kill soak-collab soak-mem soak-shard explore explore-deep churn compact fuzz fuzz-ot fuzz-batch fuzz-segment examples
+.PHONY: all build vet test race figure3 figure3-full soak soak-trace soak-kill soak-collab soak-mem soak-shard explore explore-deep churn compact fuzz fuzz-ot fuzz-batch fuzz-segment examples
 
 # race is part of all so the fault-injection suite always runs under the
 # race detector.
@@ -20,18 +20,10 @@ test:
 race:
 	$(GO) test -race ./...
 
-bench:
-	$(GO) test -bench=. -benchmem .
-
-# Quick trajectory with the allocation gates: fails if a spawn-merge
-# roundtrip or a shard routing lookup allocates more than the committed
-# budgets (see cmd/bench).
-bench-gate:
-	$(GO) run ./cmd/bench -quick -gate -out BENCH_PR10.quick.json
-
-# Regenerates Figure 3 and the Section III analysis (scaled-down sweep).
+# Regenerates Figure 3 and the Section III analysis (scaled-down sweep,
+# the run recorded in figure3_output.txt).
 figure3:
-	$(GO) run ./cmd/figure3 -repeats 3
+	$(GO) run ./cmd/figure3 -repeats 10
 
 # The paper's full l <= 10000 sweep (takes on the order of an hour).
 figure3-full:

@@ -921,7 +921,7 @@ func taskProbeWith(seed int64, tr *repro.Tracer) uint64 {
 // must be bit-identical (fingerprints and exported counter sets), only
 // durations differing. A violation prints the span-tree diff — the exact
 // merge where the runs forked — and the reproducing seed.
-func traceSoak(duration time.Duration, baseSeed int64, reg *repro.MetricsRegistry, dumpPath string) {
+func traceSoak(duration time.Duration, baseSeed int64, reg *repro.MetricsRegistry) {
 	r := rand.New(rand.NewSource(baseSeed))
 	deadline := time.Now().Add(duration)
 	probes := 0
@@ -956,15 +956,6 @@ func traceSoak(duration time.Duration, baseSeed int64, reg *repro.MetricsRegistr
 	}
 	fmt.Printf("clean: %d traced probes, span trees bit-identical across GOMAXPROCS 1/4 (last fingerprint %016x)\n",
 		probes, lastTree.Fingerprint())
-	if dumpPath != "" {
-		f, err := os.Create(dumpPath)
-		if err != nil {
-			log.Fatalf("span dump: %v", err)
-		}
-		lastTree.Render(f, false)
-		f.Close()
-		fmt.Printf("span tree written to %s\n", dumpPath)
-	}
 }
 
 // simProbe runs one random simulation config on a random engine,
@@ -1249,7 +1240,6 @@ func main() {
 	shard := flag.Bool("shard", false, "soak the sharded document service: 1/2/4-shard runs plus chaos and shard kill/resume must all converge to the single-process reference fingerprints")
 	shardOps := flag.Int("shard-ops", 100000, "with -shard: client ops per run (CI smoke trims this down)")
 	metricsAddr := flag.String("metrics", "", "serve /debug/vars and /metrics on this address while soaking")
-	spandump := flag.String("spandump", "", "with -trace: write the last probe's span tree to this file")
 	killChildDir := flag.String("kill-child", "", "internal: run one journaled -kill worker in this directory")
 	churnChildDir := flag.String("churn-child", "", "internal: run one journaled -churn coordinator in this directory")
 	flag.Parse()
@@ -1287,7 +1277,7 @@ func main() {
 		return
 	}
 	if *trace {
-		traceSoak(*duration, *seed, reg, *spandump)
+		traceSoak(*duration, *seed, reg)
 		return
 	}
 	if *explores {

@@ -236,6 +236,27 @@ func TestShardedChaosConvergence(t *testing.T) {
 	}
 }
 
+// TestRouteOfNoAllocs: the live router's lookup runs on every forwarded
+// op, so it must not allocate. With shard's TestRingOwnerNoAllocs it holds
+// the routing budget of zero allocations.
+func TestRouteOfNoAllocs(t *testing.T) {
+	s, err := ServeSharded(memnet.Listen(16), initialOf(shardedDocs), ShardedOptions{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown()
+	avg := testing.AllocsPerRun(200, func() {
+		for _, d := range shardedDocs {
+			if s.RouteOf(d) < 0 {
+				t.Fatalf("no route for %s", d)
+			}
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("RouteOf allocates %.1f times per %d lookups, want 0", avg, len(shardedDocs))
+	}
+}
+
 // TestShardedKillResume SIGKILLs one shard mid-traffic and resumes it
 // from its journal; every client must still complete its workload and
 // the final fingerprints must match the fault-free reference — acked ops

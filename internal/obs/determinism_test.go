@@ -10,11 +10,30 @@ import (
 	"repro/internal/task"
 )
 
-// tracedWorkload is a deterministic program covering the span-emitting
-// surface of the task runtime: fan-out spawns, a nested spawn, sync
-// round-trips, and an abort. It returns the traced run's observable
-// outcome: the span-tree fingerprint mixed with the exported counter set.
+// tracedWorkload runs tracedProgram and returns its observable outcome:
+// the span-tree fingerprint mixed with the exported counter set.
 func tracedWorkload() (uint64, error) {
+	tr, err := tracedProgram()
+	if err != nil {
+		return 0, err
+	}
+	h := fnv.New64a()
+	fp := tr.Tree().Fingerprint()
+	var b [8]byte
+	for i := 0; i < 8; i++ {
+		b[i] = byte(fp >> (8 * i))
+	}
+	h.Write(b[:])
+	// The exported counter set ("span.merge", "ops.transform", ...) must be
+	// as reproducible as the tree itself.
+	h.Write([]byte(tr.Counters().String()))
+	return h.Sum64(), nil
+}
+
+// tracedProgram is a deterministic program covering the span-emitting
+// surface of the task runtime: fan-out spawns, a nested spawn, sync
+// round-trips, and an abort. It returns the tracer that recorded it.
+func tracedProgram() (*obs.Tracer, error) {
 	tr := obs.New()
 	l := mergeable.NewList(1, 2, 3)
 	c := mergeable.NewCounter(0)
@@ -53,21 +72,7 @@ func tracedWorkload() (uint64, error) {
 		h.Abort()
 		return ctx.MergeAll()
 	}, l, c)
-	if err != nil {
-		return 0, err
-	}
-	h := fnv.New64a()
-	tree := tr.Tree()
-	fp := tree.Fingerprint()
-	var b [8]byte
-	for i := 0; i < 8; i++ {
-		b[i] = byte(fp >> (8 * i))
-	}
-	h.Write(b[:])
-	// The exported counter set ("span.merge", "ops.transform", ...) must be
-	// as reproducible as the tree itself.
-	h.Write([]byte(tr.Counters().String()))
-	return h.Sum64(), nil
+	return tr, err
 }
 
 // TestSpanTreeDeterministicAcrossProcs is the observability determinism

@@ -31,20 +31,6 @@ package ot
 // Because a run is transformed exactly as its constituents would have
 // been, TP1 of the pairwise algebra carries over unchanged.
 
-import "sync/atomic"
-
-// batchedTransform gates the run-length engine. On by default; tests and
-// ablation benchmarks disable it to fall back to (and compare against) the
-// pairwise shape engine.
-var batchedTransform atomic.Bool
-
-func init() { batchedTransform.Store(true) }
-
-// SetBatchedTransform enables or disables the batched run-length transform
-// engine and reports the previous setting. Results are bit-identical
-// either way; the switch exists for differential testing and ablation.
-func SetBatchedTransform(on bool) bool { return batchedTransform.Swap(on) }
-
 // seqRun is a coalesced run of contiguous same-role sequence operations:
 // an append/typing run (inserts at exactly adjacent positions), a pop run
 // (deletions at one position) or an ascending overwrite run. pos/n is the

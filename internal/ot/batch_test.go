@@ -18,15 +18,18 @@ func opsEqual(a, b []Op) bool {
 	return reflect.DeepEqual(a, b)
 }
 
-// bothEngines runs f once with the batched engine and once with the
-// pairwise fallback, restoring the ambient setting.
-func bothEngines(fn func(batched bool) ([]Op, []Op)) (aB, bB, aP, bP []Op) {
-	prev := SetBatchedTransform(true)
-	aB, bB = fn(true)
-	SetBatchedTransform(false)
-	aP, bP = fn(false)
-	SetBatchedTransform(prev)
-	return
+// pairwiseSeqs is TransformSeqs with the pairwise shape engine in place of
+// the run-length one: the oracle the batched engine must match op for op.
+func pairwiseSeqs(a, b []Op) (aT, bT []Op) {
+	if len(a) == 0 || len(b) == 0 {
+		return a, b
+	}
+	aS, bS, ok := toShapeOps(a, b)
+	if !ok {
+		return transformSeqsGeneric(a, b)
+	}
+	aR, bR := transformShapeSeqs(aS, bS)
+	return materializeShapes(aR), materializeShapes(bR)
 }
 
 // checkEngineAgreement asserts the batched and pairwise engines produce
@@ -34,15 +37,15 @@ func bothEngines(fn func(batched bool) ([]Op, []Op)) (aB, bB, aP, bP []Op) {
 // transforms actually converge (TP1) with identical fingerprints.
 func checkEngineAgreement(t *testing.T, base []any, a, b []Op) bool {
 	t.Helper()
-	aB, bB, aP, bP := bothEngines(func(bool) ([]Op, []Op) { return TransformSeqs(a, b) })
+	aB, bB := TransformSeqs(a, b)
+	aP, bP := pairwiseSeqs(a, b)
 	if !opsEqual(aB, aP) || !opsEqual(bB, bP) {
 		t.Logf("engines disagree on TransformSeqs:\n  a=%v b=%v\n  batched  a'=%v b'=%v\n  pairwise a'=%v b'=%v",
 			a, b, aB, bB, aP, bP)
 		return false
 	}
-	gB, _, gP, _ := bothEngines(func(bool) ([]Op, []Op) { return TransformAgainst(a, b), nil })
-	if !opsEqual(gB, gP) {
-		t.Logf("engines disagree on TransformAgainst:\n  a=%v b=%v\n  batched %v\n  pairwise %v", a, b, gB, gP)
+	if gB := TransformAgainst(a, b); !opsEqual(gB, aP) {
+		t.Logf("engines disagree on TransformAgainst:\n  a=%v b=%v\n  batched %v\n  pairwise %v", a, b, gB, aP)
 		return false
 	}
 	left, errL := applyAll(base, b)

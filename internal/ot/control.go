@@ -57,22 +57,19 @@ func TransformSeqs(a, b []Op) (aT, bT []Op) {
 		return TransformPair(a[0], b[0])
 	}
 	if aS, bS, ok := toShapeOps(a, b); ok {
-		if batchedTransform.Load() {
-			// Run-length engine (batch.go): identical output, O(runs) walk.
-			sc := scratchPool.Get().(*MergeScratch)
-			bRuns := sc.batch.transformRuns(aS, bS)
-			aT = materializeShapes(sc.batch.aOut)
-			bSh := sc.batch.xsh[:0]
-			for _, r := range bRuns {
-				bSh = appendRunShapes(bSh, r, sc.batch.bCons)
-			}
-			sc.batch.xsh = bSh
-			bT = materializeShapes(bSh)
-			scratchPool.Put(sc)
-			return aT, bT
+		// Run-length engine (batch.go): identical output to the pairwise
+		// transformShapeSeqs, O(runs) walk.
+		sc := scratchPool.Get().(*MergeScratch)
+		bRuns := sc.batch.transformRuns(aS, bS)
+		aT = materializeShapes(sc.batch.aOut)
+		bSh := sc.batch.xsh[:0]
+		for _, r := range bRuns {
+			bSh = appendRunShapes(bSh, r, sc.batch.bCons)
 		}
-		aR, bR := transformShapeSeqs(aS, bS)
-		return materializeShapes(aR), materializeShapes(bR)
+		sc.batch.xsh = bSh
+		bT = materializeShapes(bSh)
+		scratchPool.Put(sc)
+		return aT, bT
 	}
 	return transformSeqsGeneric(a, b)
 }

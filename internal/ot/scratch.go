@@ -133,14 +133,8 @@ func transformAgainstScratch(client, server []Op, sc *MergeScratch, owned bool) 
 		return sc.window(out, owned)
 	}
 	if aS, bS, ok := sc.toShapes(client, server); ok {
-		var outShapes []shapeOp
-		if batchedTransform.Load() {
-			sc.batch.transformRuns(aS, bS)
-			outShapes = sc.batch.aOut
-		} else {
-			outShapes, _ = transformShapeSeqs(aS, bS)
-		}
-		return sc.carve(outShapes, owned)
+		sc.batch.transformRuns(aS, bS)
+		return sc.carve(sc.batch.aOut, owned)
 	}
 	aT, _ := TransformSeqs(client, server)
 	return aT

@@ -84,8 +84,8 @@ func TestRingFromMembers(t *testing.T) {
 	}
 }
 
-// TestRingOwnerNoAllocs is the in-package half of the cmd/bench
-// shard_route gate: the routing lookup must not allocate.
+// TestRingOwnerNoAllocs is the ring half of the routing budget of zero
+// allocations; collab's TestRouteOfNoAllocs holds the live router's half.
 func TestRingOwnerNoAllocs(t *testing.T) {
 	r := New([]int{0, 1, 2, 3}, 0, 1)
 	docs := []string{"doc-a", "doc-b", "doc-c", "doc-d"}

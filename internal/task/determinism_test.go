@@ -7,8 +7,6 @@ import (
 	"time"
 
 	"repro/internal/mergeable"
-	"repro/internal/ot"
-
 	"repro/internal/testutil"
 )
 
@@ -99,27 +97,22 @@ func TestDeterminismAcrossGOMAXPROCS(t *testing.T) {
 }
 
 // TestBatchedEngineDeterminism runs the conflict-heavy scenario through
-// both transform engines across GOMAXPROCS values and demands one
-// fingerprint from all of them: the batched run-length engine must be
-// observationally identical to the pairwise engine through the full
-// merge path, and the repeated runs recycle pooled frames, shells and
-// merge scratch, so any cross-run contamination from pooling shows up as
-// a fingerprint mismatch (and, under -race, as a report).
+// the batched run-length transform engine across GOMAXPROCS values and
+// demands one fingerprint from all of them. The repeated runs recycle
+// pooled frames, shells and merge scratch, so any cross-run contamination
+// from pooling shows up as a fingerprint mismatch (and, under -race, as a
+// report). ot's differential tests pin the engine to the pairwise one op
+// for op.
 func TestBatchedEngineDeterminism(t *testing.T) {
 	orig := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(orig)
-	defer ot.SetBatchedTransform(ot.SetBatchedTransform(true))
 
 	want := deterministicScenario(false)
-	for _, batched := range []bool{true, false} {
-		ot.SetBatchedTransform(batched)
-		for _, procs := range []int{1, 2, 4} {
-			runtime.GOMAXPROCS(procs)
-			for i := 0; i < 5; i++ {
-				if got := deterministicScenario(i%2 == 1); got != want {
-					t.Fatalf("batched=%v GOMAXPROCS=%d run %d: fingerprint %x != %x",
-						batched, procs, i, got, want)
-				}
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for i := 0; i < 5; i++ {
+			if got := deterministicScenario(i%2 == 1); got != want {
+				t.Fatalf("GOMAXPROCS=%d run %d: fingerprint %x != %x", procs, i, got, want)
 			}
 		}
 	}

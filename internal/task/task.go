@@ -23,10 +23,7 @@
 package task
 
 import (
-	"context"
 	"math/rand"
-	"runtime/pprof"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -448,18 +445,7 @@ func (t *Task) reap(c *Task) {
 func (t *Task) run() {
 	ctx := &t.ctx // embedded: no per-task Ctx allocation
 	t.runtime.acquire()
-	if profileLabels.Load() {
-		// Label the user-code phase so CPU and goroutine profiles attribute
-		// samples to individual tasks. Gated by an atomic so the disabled
-		// path creates no closure and no label set.
-		pprof.Do(context.Background(), pprof.Labels(
-			"task_id", strconv.FormatUint(t.id, 10),
-			"task_path", t.path(),
-			"phase", "run",
-		), func(context.Context) { t.execBody(ctx) })
-	} else {
-		t.execBody(ctx)
-	}
+	t.execBody(ctx)
 
 	if t.err != nil {
 		// A failed task cannot accept its children's changes — its own
@@ -471,14 +457,10 @@ func (t *Task) run() {
 	// Merge (or discard) every remaining child, including tasks cloned
 	// while the loop runs, so the subtree is fully collected before the
 	// parent observes completion.
-	if profileLabels.Load() && t.hasLiveChildren() {
-		pprof.Do(context.Background(), pprof.Labels(
-			"task_id", strconv.FormatUint(t.id, 10),
-			"task_path", t.path(),
-			"phase", "merge",
-		), func(context.Context) { t.collectChildren(ctx) })
-	} else {
-		t.collectChildren(ctx)
+	for t.hasLiveChildren() {
+		if err := ctx.MergeAll(); err != nil && t.err == nil {
+			t.err = err
+		}
 	}
 
 	if t.parent == nil {
@@ -493,9 +475,7 @@ func (t *Task) run() {
 	t.parent.ready <- t // may block until the parent drains announcements
 }
 
-// execBody runs the task function under the panic guard. Kept as a method
-// (not an inline closure in run) so the pprof-label wrapper only
-// allocates its closure when labelling is actually enabled.
+// execBody runs the task function under the panic guard.
 func (t *Task) execBody(ctx *Ctx) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -504,28 +484,6 @@ func (t *Task) execBody(ctx *Ctx) {
 	}()
 	t.err = t.fn(ctx, t.data)
 }
-
-// collectChildren merges (or discards) every remaining child, including
-// tasks cloned while the loop runs.
-func (t *Task) collectChildren(ctx *Ctx) {
-	for t.hasLiveChildren() {
-		if err := ctx.MergeAll(); err != nil && t.err == nil {
-			t.err = err
-		}
-	}
-}
-
-// profileLabels gates runtime/pprof goroutine labelling of task
-// execution. Off by default: labelling costs one label-set allocation per
-// task, which fan-out benchmarks would notice.
-var profileLabels atomic.Bool
-
-// SetProfileLabels enables or disables runtime/pprof labels on task
-// goroutines. When enabled, every task body runs under labels
-// task_id=<id>, task_path=<stable path>, phase=run|merge, so CPU and
-// goroutine profiles can be filtered to a single task or to merge work
-// (go tool pprof -tagfocus phase=merge).
-func SetProfileLabels(on bool) { profileLabels.Store(on) }
 
 // enterSync blocks the calling (child) goroutine until the parent merges
 // it, then reports the merge outcome. See Ctx.Sync.

@@ -199,12 +199,6 @@ func RunWith(cfg RunConfig, fn Func, data ...Mergeable) error {
 	return task.RunWith(cfg, fn, data...)
 }
 
-// SetProfileLabels enables runtime/pprof labels (task_id, task_path,
-// phase=run|merge) on every task goroutine, so CPU and goroutine profiles
-// can be sliced per task or per phase. Off by default; enabling costs one
-// label-set allocation per task.
-func SetProfileLabels(on bool) { task.SetProfileLabels(on) }
-
 // Journal sentinel errors, re-exported from internal/journal. Classify
 // with errors.Is.
 var (
