@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race figure3 figure3-full soak soak-trace soak-kill soak-collab soak-mem soak-shard explore explore-deep churn compact fuzz fuzz-ot fuzz-batch fuzz-segment examples
+.PHONY: all build vet test race figure3 figure3-full soak soak-trace soak-kill soak-collab soak-mem soak-shard explore explore-deep churn compact fuzz fuzz-ot fuzz-batch fuzz-cow fuzz-segment examples
 
 # race is part of all so the fault-injection suite always runs under the
 # race detector.
@@ -133,6 +133,12 @@ fuzz-ot:
 # must produce op sequences identical to the pairwise shape engine.
 fuzz-batch:
 	$(GO) test ./internal/ot -run '^$$' -fuzz FuzzBatchedTransform -fuzztime 30s -fuzzminimizetime 10x
+
+# Differential fuzzing of the COW vector: interleaved splices, appends,
+# overwrites, pops, sealed snapshots and compactions must match a
+# plain-slice model, and every earlier snapshot must keep its contents.
+fuzz-cow:
+	$(GO) test ./internal/cow -run '^$$' -fuzz FuzzVectorSplice -fuzztime 30s -fuzzminimizetime 10x
 
 # Segmented-WAL recovery fuzzing: arbitrary bytes as a rotated segment
 # (with and without a stale base wal.log underneath) must recover to a

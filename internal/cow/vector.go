@@ -7,13 +7,16 @@
 // classic persistent-vector design. Clone is O(1) — it shares structure —
 // so a task copy of a COW-backed structure costs almost nothing at spawn
 // time; mutated paths are copied lazily, bounding each write to O(log32 n)
-// node copies. The ablation benchmark BenchmarkCloneDeepVsCOW quantifies
-// the spawn-overhead reduction against the deep-copy slices the default
-// structures use.
+// node copies. Interior insertions and deletions (Splice) follow the
+// relaxed-radix idea of RRB-trees (Bagwell & Rompf, 2011): the nodes a
+// splice copies carry a size table, everything else stays a plain radix
+// trie, so a splice costs O(log32 n) too. Every sequence structure in
+// package mergeable (List, FastList, Queue, FastQueue) is backed by it.
 package cow
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 )
 
@@ -55,21 +58,57 @@ func releaseChunk[T any](s []T) {
 	chunkReclaims.Add(1)
 }
 
-// node is a trie node: either internal (children) or leaf (values).
+// tailCap is the capacity an owned mutator gives a fresh tail chunk of n
+// elements: room to keep growing in place, within one leaf's width.
+func tailCap(n int) int {
+	return min(max(2*n, 8), width)
+}
+
+// node is a trie node: a leaf (non-nil values, never empty) or an internal
+// node (children). An internal node is strict — every child full except
+// the last, so an index's radix digit picks the child — unless it carries
+// a size table, which makes it relaxed: its children may hold any number
+// of elements, and the table says where each one starts. Only Splice
+// creates relaxed nodes, and only on the paths it copies; a strict subtree
+// never contains one.
 type node[T any] struct {
 	children [width]*node[T]
 	values   []T
-	leaf     bool
+	sizes    *sizeTable
+}
+
+// sizeTable indexes a relaxed node: cum[j] counts the elements in children
+// 0..j, and leaves counts the leaves below the node. A table never changes
+// once built, so copies of a node share it.
+type sizeTable struct {
+	cum    [width]int
+	leaves int
+}
+
+// find returns the child of a relaxed node at level that holds index i,
+// and i's index within that child. Children hold at most 1<<level
+// elements each, so the radix digit is a lower bound to scan up from.
+func (t *sizeTable) find(i int, level uint) (int, int) {
+	j := i >> level
+	for t.cum[j] <= i {
+		j++
+	}
+	if j > 0 {
+		i -= t.cum[j-1]
+	}
+	return j, i
 }
 
 func newLeaf[T any](vals []T) *node[T] {
-	n := &node[T]{leaf: true}
+	n := &node[T]{}
 	n.values = append(n.values, vals...)
 	return n
 }
 
 // Vector is an immutable sequence. All methods returning a Vector leave
-// the receiver untouched; the zero value is an empty vector ready to use.
+// the receiver untouched, except the owned mutators (AppendOwned,
+// SetOwned, Splice), whose callers discard the receiver; the zero value
+// is an empty vector ready to use.
 type Vector[T any] struct {
 	count int
 	shift uint
@@ -84,6 +123,14 @@ type Vector[T any] struct {
 	// a freshly copied tail clears it.
 	sharedTail bool
 }
+
+// relaxed reports whether a splice reshaped the trie. The root is then a
+// relaxed node, the trie holds count-len(tail) elements and the tail
+// anywhere from 0 to width of them. Methods test it once at the top; a
+// vector no splice touched runs the strict radix code. The mark lives in
+// the root rather than in a field of its own, so a Vector stays seven
+// words and its methods keep receiving it in registers.
+func (v Vector[T]) relaxed() bool { return v.root != nil && v.root.sizes != nil }
 
 // New returns a vector holding vals.
 func New[T any](vals ...T) Vector[T] {
@@ -145,7 +192,8 @@ func FromSlice[T any](vals []T) Vector[T] {
 // Len returns the number of elements.
 func (v Vector[T]) Len() int { return v.count }
 
-// tailOffset is the index of the first element stored in the tail buffer.
+// tailOffset is the index of the first element stored in the tail buffer
+// of a strict vector.
 func (v Vector[T]) tailOffset() int {
 	if v.count < width {
 		return 0
@@ -159,6 +207,9 @@ func (v Vector[T]) Get(i int) T {
 	if i < 0 || i >= v.count {
 		panic(fmt.Sprintf("cow: index %d out of range [0,%d)", i, v.count))
 	}
+	if v.relaxed() {
+		return v.getRelaxed(i)
+	}
 	if i >= v.tailOffset() {
 		return v.tail[i-v.tailOffset()]
 	}
@@ -169,8 +220,35 @@ func (v Vector[T]) Get(i int) T {
 	return n.values[i&mask]
 }
 
+func (v Vector[T]) getRelaxed(i int) T {
+	if off := v.count - len(v.tail); i >= off {
+		return v.tail[i-off]
+	}
+	vals, j := v.leafFor(i)
+	return vals[j]
+}
+
+// leafFor returns the values of the leaf holding trie index i of a relaxed
+// vector, and i's index within them. Below the first strict node the
+// descent is the plain radix one.
+func (v Vector[T]) leafFor(i int) ([]T, int) {
+	n, level := v.root, v.shift
+	for ; level > 0 && n.sizes != nil; level -= bits {
+		var j int
+		j, i = n.sizes.find(i, level)
+		n = n.children[j]
+	}
+	for ; level > 0; level -= bits {
+		n = n.children[(i>>level)&mask]
+	}
+	return n.values, i & mask
+}
+
 // Append returns a vector with x added at the end.
 func (v Vector[T]) Append(x T) Vector[T] {
+	if v.relaxed() {
+		return v.appendRelaxed(x)
+	}
 	if v.count-v.tailOffset() < width {
 		// Room in the tail: copy only the tail buffer.
 		chunkAllocs.Add(1)
@@ -198,6 +276,23 @@ func (v Vector[T]) Append(x T) Vector[T] {
 	}
 	chunkAllocs.Add(1)
 	return Vector[T]{count: v.count + 1, shift: newShift, root: newRoot, tail: []T{x}}
+}
+
+// appendRelaxed is Append on a relaxed vector. A full tail joins the
+// trie's last leaf (which then splits in two), leaving an empty tail.
+func (v Vector[T]) appendRelaxed(x T) Vector[T] {
+	if len(v.tail) == width {
+		full := v.tail
+		v.tail, v.count = nil, v.count-width
+		v, _ = v.editTrie(v.count, 0, full)
+	}
+	chunkAllocs.Add(1)
+	newTail := make([]T, len(v.tail), len(v.tail)+1)
+	copy(newTail, v.tail)
+	v.tail = append(newTail, x)
+	v.count++
+	v.sharedTail = false
+	return v
 }
 
 // AppendOwned is Append for a caller that exclusively owns the receiver's
@@ -256,6 +351,9 @@ func (v *Vector[T]) MarkShared() { v.sharedTail = true }
 // instead of one per write. Trie-resident indexes take the ordinary
 // path-copying route, which never touches the tail.
 func (v Vector[T]) SetOwned(i int, x T) Vector[T] {
+	if v.relaxed() {
+		return v.setRelaxed(i, x, true)
+	}
 	if i < 0 || i >= v.count {
 		panic(fmt.Sprintf("cow: index %d out of range [0,%d)", i, v.count))
 	}
@@ -264,31 +362,40 @@ func (v Vector[T]) SetOwned(i int, x T) Vector[T] {
 		v.root = setInTrie(v.root, v.shift, i, x)
 		return v
 	}
-	if !v.sharedTail && cap(v.tail) > len(v.tail) {
-		v.tail[i-off] = x
+	return v.setTailOwned(i-off, x)
+}
+
+// ownsSpareTail is the in-place rule of the owned mutators: no sealed view
+// shares the tail, and it carries spare capacity.
+func (v Vector[T]) ownsSpareTail() bool {
+	return !v.sharedTail && cap(v.tail) > len(v.tail)
+}
+
+// setTailOwned overwrites tail slot k under SetOwned's contract.
+func (v Vector[T]) setTailOwned(k int, x T) Vector[T] {
+	if v.ownsSpareTail() {
+		v.tail[k] = x
 		return v
 	}
-	n := len(v.tail)
-	newCap := 2 * n
-	if newCap < 8 {
-		newCap = 8
-	}
-	if newCap > width {
-		newCap = width
-	}
 	chunkAllocs.Add(1)
-	nt := make([]T, n, newCap)
+	nt := make([]T, len(v.tail), tailCap(len(v.tail)))
 	copy(nt, v.tail)
-	nt[i-off] = x
+	nt[k] = x
+	// Sealed tail with no reader attached: the copy strands the old chunk,
+	// so hand it back — without this, a seal/overwrite cycle leaks one
+	// chunk per overwrite.
+	v.installTail(nt)
+	return v
+}
+
+// installTail replaces the tail with a fresh chunk, releasing the old one
+// unless a sealed view still reads it.
+func (v *Vector[T]) installTail(nt []T) {
 	if !v.sharedTail {
-		// Sealed tail with no reader attached: the copy above strands the
-		// old chunk, so hand it back — without this, a seal/overwrite cycle
-		// leaks one chunk per overwrite.
 		releaseChunk(v.tail)
 	}
 	v.tail = nt
 	v.sharedTail = false
-	return v
 }
 
 // Sealed returns the vector with its tail capacity clipped to its length,
@@ -343,6 +450,9 @@ func pushTail[T any](parent *node[T], level uint, lastIdx int, tailNode *node[T]
 // Set returns a vector with index i replaced by x. It panics when i is
 // out of range.
 func (v Vector[T]) Set(i int, x T) Vector[T] {
+	if v.relaxed() {
+		return v.setRelaxed(i, x, false)
+	}
 	if i < 0 || i >= v.count {
 		panic(fmt.Sprintf("cow: index %d out of range [0,%d)", i, v.count))
 	}
@@ -356,8 +466,29 @@ func (v Vector[T]) Set(i int, x T) Vector[T] {
 	return Vector[T]{count: v.count, shift: v.shift, root: setInTrie(v.root, v.shift, i, x), tail: v.tail, sharedTail: v.sharedTail}
 }
 
+// setRelaxed is Set (owned false) and SetOwned (owned true) on a relaxed
+// vector.
+func (v Vector[T]) setRelaxed(i int, x T, owned bool) Vector[T] {
+	if i < 0 || i >= v.count {
+		panic(fmt.Sprintf("cow: index %d out of range [0,%d)", i, v.count))
+	}
+	off := v.count - len(v.tail)
+	switch {
+	case i < off:
+		v.root = setRelaxedTrie(v.root, v.shift, i, x)
+	case owned:
+		return v.setTailOwned(i-off, x)
+	default:
+		chunkAllocs.Add(1)
+		v.tail = append([]T(nil), v.tail...)
+		v.tail[i-off] = x
+		v.sharedTail = false
+	}
+	return v
+}
+
 func setInTrie[T any](n *node[T], level uint, i int, x T) *node[T] {
-	if n.leaf {
+	if level == 0 {
 		ret := newLeaf(n.values)
 		ret.values[i&mask] = x
 		return ret
@@ -368,9 +499,24 @@ func setInTrie[T any](n *node[T], level uint, i int, x T) *node[T] {
 	return ret
 }
 
+// setRelaxedTrie is setInTrie through relaxed nodes; the copies share the
+// unchanged size tables.
+func setRelaxedTrie[T any](n *node[T], level uint, i int, x T) *node[T] {
+	if n.sizes == nil {
+		return setInTrie(n, level, i, x)
+	}
+	j, i := n.sizes.find(i, level)
+	ret := &node[T]{children: n.children, sizes: n.sizes}
+	ret.children[j] = setRelaxedTrie(n.children[j], level-bits, i, x)
+	return ret
+}
+
 // Pop returns a vector with the last element removed. It panics on an
 // empty vector.
 func (v Vector[T]) Pop() Vector[T] {
+	if v.relaxed() {
+		return v.popRelaxed()
+	}
 	if v.count == 0 {
 		panic("cow: pop of empty vector")
 	}
@@ -398,7 +544,264 @@ func (v Vector[T]) Pop() Vector[T] {
 		n = n.children[(lastIdx>>level)&mask]
 	}
 	chunkAllocs.Add(1)
+	if v.shift == 0 {
+		// The zero value grows its first leaf as the root itself. Pulled
+		// out, that leaf leaves no trie: a stale leaf root would send the
+		// next push down into a leaf's children.
+		return Vector[T]{count: newCount, shift: bits, tail: append([]T(nil), n.values...)}
+	}
 	return Vector[T]{count: newCount, shift: v.shift, root: v.root, tail: append([]T(nil), n.values...)}
+}
+
+// popRelaxed is Pop on a relaxed vector (which is never empty). The tail
+// is clipped like a strict one; once it is empty, the trie's last leaf
+// leaves the trie and, minus its last element, becomes the tail.
+func (v Vector[T]) popRelaxed() Vector[T] {
+	if n := len(v.tail); n > 0 {
+		v.tail = v.tail[: n-1 : n-1]
+		v.count--
+		return v
+	}
+	leaf, _ := v.leafFor(v.count - 1)
+	v, _ = v.editTrie(v.count-len(leaf), len(leaf), nil)
+	chunkAllocs.Add(1)
+	v.tail = append([]T(nil), leaf[:len(leaf)-1]...)
+	v.count += len(v.tail)
+	v.sharedTail = false
+	return v
+}
+
+// Splice returns the vector with the del elements at pos replaced by ins.
+// A splice whose deleted and inserted elements fit in one leaf copies only
+// that leaf and its path: the copied nodes become relaxed, and a leaf or
+// node that overflows splits in two. A splice inside the tail edits the
+// tail, in place under SetOwned's rule (no sealed view, spare capacity);
+// a tail that outgrows width pushes a full leaf into the trie. Wider
+// splices rebuild with FromSlice, and so does a trie fragmented past twice
+// the leaves a packed one needs. Splice is an owned mutator like
+// SetOwned: the receiver's tail may be edited in place or released, so
+// the caller must discard the receiver. It panics when the range is out
+// of bounds.
+func (v Vector[T]) Splice(pos, del int, ins ...T) Vector[T] {
+	if pos < 0 || del < 0 || pos+del > v.count {
+		panic(fmt.Sprintf("cow: splice range [%d,%d) out of range [0,%d]", pos, pos+del, v.count))
+	}
+	if del == 0 && len(ins) == 0 {
+		return v
+	}
+	if off := v.count - len(v.tail); len(ins) <= width {
+		switch {
+		case pos >= off:
+			if w, ok := v.spliceTail(pos-off, del, ins); ok {
+				return w
+			}
+		case pos+del <= off:
+			if w, ok := v.editTrie(pos, del, ins); ok {
+				if w.fragmented() {
+					return w.Compact()
+				}
+				return w
+			}
+		}
+	}
+	out := slices.Replace(v.Slice(), pos, pos+del, ins...)
+	v.ReleaseOwned()
+	return FromSlice(out)
+}
+
+// spliceTail replaces the del tail elements at tail index k with ins. ok
+// is false when a strict vector's tail would empty while its trie still
+// holds elements (a strict tail is never empty).
+func (v Vector[T]) spliceTail(k, del int, ins []T) (Vector[T], bool) {
+	n := len(v.tail)
+	m := n - del + len(ins)
+	if m == 0 && !v.relaxed() && v.count > n {
+		return v, false
+	}
+	trie := v.count - n
+	if v.ownsSpareTail() && m <= cap(v.tail) {
+		t := v.tail[:max(n, m)]
+		copy(t[k+len(ins):], v.tail[k+del:n])
+		copy(t[k:], ins)
+		clear(t[m:])
+		v.tail = t[:m]
+		v.count = trie + m
+		return v, true
+	}
+	c := m
+	if m <= width {
+		c = tailCap(m)
+	}
+	buf := make([]T, 0, c)
+	buf = append(append(append(buf, v.tail[:k]...), ins...), v.tail[k+del:]...)
+	chunkAllocs.Add(1)
+	if m <= width {
+		v.installTail(buf)
+		v.count = trie + m
+		return v, true
+	}
+	// Overflow: the first width elements make a full tail, and appending
+	// the rest pushes it into the trie as a leaf.
+	v.installTail(buf[:width:width])
+	v.count = trie + width
+	for _, x := range buf[width:] {
+		v = v.AppendOwned(x)
+	}
+	return v, true
+}
+
+// piece is a node built by editPath, with the elements and leaves below it.
+type piece[T any] struct {
+	n            *node[T]
+	size, leaves int
+}
+
+// newRelaxed builds a relaxed node over kids, whose element counts are
+// sizes.
+func newRelaxed[T any](kids []*node[T], sizes []int, leaves int) piece[T] {
+	t := &sizeTable{leaves: leaves}
+	n := &node[T]{sizes: t}
+	copy(n.children[:], kids)
+	sum := 0
+	for j, s := range sizes {
+		sum += s
+		t.cum[j] = sum
+	}
+	return piece[T]{n, sum, leaves}
+}
+
+// leafCount returns the number of leaves below n, a node at level holding
+// size elements.
+func leafCount[T any](n *node[T], level uint, size int) int {
+	switch {
+	case level == 0:
+		return 1
+	case n.sizes != nil:
+		return n.sizes.leaves
+	}
+	return size >> bits // strict: every leaf is full
+}
+
+// childSizes writes the element count of each of n's children into out
+// and returns the number of children. n is a node at level holding size
+// elements; children of a strict node past size (stale paths Pop leaves
+// behind) do not count.
+func childSizes[T any](n *node[T], level uint, size int, out *[width + 1]int) int {
+	nc := 0
+	if t := n.sizes; t != nil {
+		for prev := 0; nc < width && n.children[nc] != nil; nc++ {
+			out[nc] = t.cum[nc] - prev
+			prev = t.cum[nc]
+		}
+		return nc
+	}
+	for rem := size; rem > 0; rem -= 1 << level {
+		out[nc] = min(rem, 1<<level)
+		nc++
+	}
+	return nc
+}
+
+// editPath copies the path from n — a node at level holding size elements
+// — down to the leaf holding index i (the last leaf when i == size), and
+// there replaces del elements at i with ins. It returns the nodes that
+// replace n: none when n empties, two when it overflows and splits, B-tree
+// style. ok is false, before anything is allocated, when the deleted range
+// runs past the leaf.
+func editPath[T any](n *node[T], level uint, size, i, del int, ins []T) (out [2]piece[T], k int, ok bool) {
+	if level == 0 {
+		if i+del > len(n.values) {
+			return out, 0, false
+		}
+		m := len(n.values) - del + len(ins)
+		if m == 0 {
+			return out, 0, true
+		}
+		vals := make([]T, 0, m)
+		vals = append(append(append(vals, n.values[:i]...), ins...), n.values[i+del:]...)
+		if m <= width {
+			out[0] = piece[T]{&node[T]{values: vals}, m, 1}
+			return out, 1, true
+		}
+		h := (m + 1) / 2
+		out[0] = piece[T]{&node[T]{values: vals[:h:h]}, h, 1}
+		out[1] = piece[T]{&node[T]{values: vals[h:]}, m - h, 1}
+		return out, 2, true
+	}
+	var sizes [width + 1]int
+	nc := childSizes(n, level, size, &sizes)
+	j, start := 0, 0
+	for j < nc-1 && start+sizes[j] <= i {
+		start += sizes[j]
+		j++
+	}
+	sub, sk, ok := editPath(n.children[j], level-bits, sizes[j], i-start, del, ins)
+	if !ok {
+		return out, 0, false
+	}
+	leaves := leafCount(n, level, size) - leafCount(n.children[j], level-bits, sizes[j])
+	var kidBuf [width + 1]*node[T]
+	var sizeBuf [width + 1]int
+	kids := append(kidBuf[:0], n.children[:j]...)
+	ks := append(sizeBuf[:0], sizes[:j]...)
+	for _, p := range sub[:sk] {
+		kids, ks = append(kids, p.n), append(ks, p.size)
+		leaves += p.leaves
+	}
+	kids = append(kids, n.children[j+1:nc]...)
+	ks = append(ks, sizes[j+1:nc]...)
+	switch {
+	case len(kids) == 0:
+		return out, 0, true
+	case len(kids) <= width:
+		out[0] = newRelaxed(kids, ks, leaves)
+		return out, 1, true
+	}
+	h := (len(kids) + 1) / 2
+	left := 0
+	for c := range kids[:h] {
+		left += leafCount(kids[c], level-bits, ks[c])
+	}
+	out[0] = newRelaxed(kids[:h], ks[:h], left)
+	out[1] = newRelaxed(kids[h:], ks[h:], leaves-left)
+	return out, 2, true
+}
+
+// editTrie is the one-leaf splice on the trie: the del elements at trie
+// index i become ins, and the tail is untouched. The result is relaxed,
+// or, when the trie empties, the strict vector of the tail alone. ok is
+// false when the deleted range runs past the leaf holding i.
+func (v Vector[T]) editTrie(i, del int, ins []T) (Vector[T], bool) {
+	out, k, ok := editPath(v.root, v.shift, v.count-len(v.tail), i, del, ins)
+	if !ok {
+		return v, false
+	}
+	v.count += len(ins) - del
+	switch {
+	case k == 0:
+		if v.count == 0 {
+			return Vector[T]{shift: bits}, true
+		}
+		v.root, v.shift = nil, bits
+	case k == 1 && v.shift > 0:
+		v.root = out[0].n
+	default:
+		// The root split, or it is a leaf (the zero value's first one):
+		// grow a level, so the root is a relaxed node.
+		kids := []*node[T]{out[0].n, out[1].n}
+		sizes := []int{out[0].size, out[1].size}
+		v.root = newRelaxed(kids[:k], sizes[:k], out[0].leaves+out[1].leaves).n
+		v.shift += bits
+	}
+	return v, true
+}
+
+// fragmented reports whether a relaxed trie holds more than twice the
+// leaves a packed vector of the same length needs. Re-packing then keeps
+// the depth and pointer overhead bounded; the splices that fragmented it
+// pay for the O(n) rebuild, amortized O(1) each.
+func (v Vector[T]) fragmented() bool {
+	return v.relaxed() && v.root.sizes.leaves > 2*((v.count+width-1)>>bits)
 }
 
 // ReleaseOwned returns the receiver's tail chunk to the allocator and
@@ -424,11 +827,11 @@ func Replace[T any](v *Vector[T], next Vector[T]) {
 }
 
 // Compact returns a vector with the same contents and no stale storage:
-// an exact-capacity tail, no unreachable rightmost trie path left behind
-// by Pop, and no clipped-away slots pinning elements. The receiver's
-// exclusively owned tail chunk is released. Long-lived single-owner
-// structures run it as their chunk-reclaim pass after bursts of pops or
-// overwrites.
+// an exact-capacity tail, a packed strict trie (no relaxed nodes, no
+// unreachable rightmost path left behind by Pop), and no clipped-away
+// slots pinning elements. The receiver's exclusively owned tail chunk is
+// released. Long-lived single-owner structures run it as their
+// chunk-reclaim pass after bursts of pops or overwrites.
 func (v Vector[T]) Compact() Vector[T] {
 	out := FromSlice(v.Slice())
 	out.SealTail()
@@ -438,22 +841,36 @@ func (v Vector[T]) Compact() Vector[T] {
 
 // Slice returns the vector's contents as a fresh slice. It walks the trie
 // leaves directly — O(n) — instead of paying Get's O(log n) descent per
-// element. The limit guards against the unreachable rightmost path Pop can
-// leave behind: leaves are walked left to right, so cutting at tailOffset
-// stops exactly before any stale leaf.
+// element.
 func (v Vector[T]) Slice() []T {
 	out := make([]T, 0, v.count)
 	if v.root != nil {
-		out = appendTrie(out, v.root, v.tailOffset())
+		out = appendNode(out, v.root, v.shift, v.count-len(v.tail))
 	}
 	return append(out, v.tail...)
 }
 
+// appendNode appends the size elements below n, a node at level, walking
+// relaxed nodes by their size tables and strict subtrees with appendTrie.
+func appendNode[T any](dst []T, n *node[T], level uint, size int) []T {
+	if n.sizes == nil {
+		return appendTrie(dst, n, len(dst)+size)
+	}
+	for j, prev := 0, 0; j < width && n.children[j] != nil; j++ {
+		dst = appendNode(dst, n.children[j], level-bits, n.sizes.cum[j]-prev)
+		prev = n.sizes.cum[j]
+	}
+	return dst
+}
+
+// appendTrie appends a strict subtree's leaves, left to right, until dst
+// reaches limit. The limit guards against the unreachable rightmost path
+// Pop can leave behind: cutting there stops exactly before any stale leaf.
 func appendTrie[T any](dst []T, n *node[T], limit int) []T {
 	if n == nil || len(dst) >= limit {
 		return dst
 	}
-	if n.leaf {
+	if n.values != nil {
 		take := limit - len(dst)
 		if take > len(n.values) {
 			take = len(n.values)

@@ -9,8 +9,8 @@ import (
 
 // FastList is a mergeable list backed by a persistent (copy-on-write)
 // vector: the COW counterpart of List, with O(1) CloneValue/AdoptFrom.
-// Appends and overwrites take the fast path; arbitrary transformed
-// insertions and deletions fall back to rebuilding. It exists for
+// Appends and overwrites take the fast path; transformed interior
+// insertions and deletions splice. It exists for
 // append-heavy structures copied on every spawn and sync — in the netsim
 // ablation, the per-host processing traces.
 type FastList[T any] struct {
@@ -103,9 +103,7 @@ func (l *FastList[T]) applySeq(op ot.Op) error {
 			}
 			vals[i] = tv
 		}
-		cur := l.vec.Slice()
-		out := append(cur[:v.Pos:v.Pos], append(vals, cur[v.Pos:]...)...)
-		cow.Replace(&l.vec, cow.FromSlice(out))
+		l.vec = l.vec.Splice(v.Pos, 0, vals...)
 		l.fp.invalidate()
 		return nil
 	case ot.SeqDelete:
@@ -119,9 +117,7 @@ func (l *FastList[T]) applySeq(op ot.Op) error {
 			}
 			return nil
 		}
-		cur := l.vec.Slice()
-		out := append(cur[:v.Pos:v.Pos], cur[v.Pos+v.N:]...)
-		cow.Replace(&l.vec, cow.FromSlice(out))
+		l.vec = l.vec.Splice(v.Pos, v.N)
 		return nil
 	case ot.SeqSet:
 		if v.Pos < 0 || v.Pos >= n {

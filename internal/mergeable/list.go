@@ -19,9 +19,9 @@ import (
 // The list is backed by a persistent (copy-on-write) vector, so the deep
 // copy every Spawn and Sync takes is O(1) structural sharing rather than an
 // element-wise copy — the optimization the paper's conclusion announces as
-// future work. Appends and overwrites mutate O(log n) trie nodes; arbitrary
-// insertions and deletions rebuild the vector in O(n), the same bound the
-// previous slice backing had.
+// future work. Appends, overwrites and interior insertions and deletions
+// all copy O(log n) trie nodes: an interior edit splices one leaf and its
+// path (cow.Vector.Splice).
 type List[T any] struct {
 	log Log
 	vec cow.Vector[T]
@@ -86,9 +86,9 @@ func (l *List[T]) Insert(i int, vals ...T) {
 	for j, v := range vals {
 		elems[j] = v
 	}
-	op := ot.SeqInsert{Pos: i, Elems: elems}
-	l.applySeq(op)
-	l.log.Record(op)
+	l.vec = l.vec.Splice(i, 0, vals...)
+	l.fp.invalidate()
+	l.log.Record(ot.SeqInsert{Pos: i, Elems: elems})
 }
 
 // Delete removes the element at index i.
@@ -108,8 +108,7 @@ func (l *List[T]) DeleteN(i, n int) {
 			l.vec = l.vec.Pop()
 		}
 	} else {
-		cur := l.vec.Slice()
-		cow.Replace(&l.vec, cow.FromSlice(append(cur[:i:i], cur[i+n:]...)))
+		l.vec = l.vec.Splice(i, n)
 	}
 	l.fp.invalidate()
 	l.log.recordSeqDelete(i, n)
@@ -131,7 +130,7 @@ func (l *List[T]) Set(i int, v T) {
 
 // applySeq applies a sequence op to the backing vector. Appends, trailing
 // deletions and overwrites take persistent-vector fast paths; interior
-// splices rebuild via the bulk loader.
+// edits splice.
 func (l *List[T]) applySeq(op ot.Op) error {
 	n := l.vec.Len()
 	switch v := op.(type) {
@@ -160,9 +159,7 @@ func (l *List[T]) applySeq(op ot.Op) error {
 			}
 			vals[i] = tv
 		}
-		cur := l.vec.Slice()
-		out := append(cur[:v.Pos:v.Pos], append(vals, cur[v.Pos:]...)...)
-		cow.Replace(&l.vec, cow.FromSlice(out))
+		l.vec = l.vec.Splice(v.Pos, 0, vals...)
 		l.fp.invalidate()
 		return nil
 	case ot.SeqDelete:
@@ -176,9 +173,7 @@ func (l *List[T]) applySeq(op ot.Op) error {
 			}
 			return nil
 		}
-		cur := l.vec.Slice()
-		out := append(cur[:v.Pos:v.Pos], cur[v.Pos+v.N:]...)
-		cow.Replace(&l.vec, cow.FromSlice(out))
+		l.vec = l.vec.Splice(v.Pos, v.N)
 		return nil
 	case ot.SeqSet:
 		if v.Pos < 0 || v.Pos >= n {

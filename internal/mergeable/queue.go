@@ -107,8 +107,7 @@ func (q *Queue[T]) tail() []T {
 
 // applySeq applies one remote sequence op. Front deletions and back
 // insertions — the only shapes queue usage produces — take O(1)/O(log n)
-// fast paths; anything else falls back to rebuilding, which stays correct
-// for arbitrary transformed operations.
+// fast paths; anything else splices the vector past the consumed prefix.
 func (q *Queue[T]) applySeq(op ot.Op) error {
 	n := q.vec.Len() - q.head
 	switch v := op.(type) {
@@ -131,10 +130,7 @@ func (q *Queue[T]) applySeq(op ot.Op) error {
 			}
 			return nil
 		}
-		cur := q.tail()
-		out := append(cur[:v.Pos:v.Pos], append(vals, cur[v.Pos:]...)...)
-		cow.Replace(&q.vec, cow.FromSlice(out))
-		q.head = 0
+		q.vec = q.vec.Splice(q.head+v.Pos, 0, vals...)
 		q.fp.invalidate()
 		return nil
 	case ot.SeqDelete:
@@ -147,10 +143,7 @@ func (q *Queue[T]) applySeq(op ot.Op) error {
 			q.maybeCompact()
 			return nil
 		}
-		cur := q.tail()
-		out := append(cur[:v.Pos:v.Pos], cur[v.Pos+v.N:]...)
-		cow.Replace(&q.vec, cow.FromSlice(out))
-		q.head = 0
+		q.vec = q.vec.Splice(q.head+v.Pos, v.N)
 		return nil
 	case ot.SeqSet:
 		if v.Pos < 0 || v.Pos >= n {
