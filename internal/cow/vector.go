@@ -126,10 +126,11 @@ type Vector[T any] struct {
 
 // relaxed reports whether a splice reshaped the trie. The root is then a
 // relaxed node, the trie holds count-len(tail) elements and the tail
-// anywhere from 0 to width of them. Methods test it once at the top; a
-// vector no splice touched runs the strict radix code. The mark lives in
-// the root rather than in a field of its own, so a Vector stays seven
-// words and its methods keep receiving it in registers.
+// anywhere from 0 to width of them. Append and Pop test it once at the
+// top, so a vector no splice touched runs their strict radix code; Get
+// and Set need no test, as they follow size tables wherever a node has
+// one. The mark lives in the root rather than in a field of its own, so a
+// Vector stays seven words and its methods keep receiving it in registers.
 func (v Vector[T]) relaxed() bool { return v.root != nil && v.root.sizes != nil }
 
 // New returns a vector holding vals.
@@ -155,12 +156,9 @@ func FromSlice[T any](vals []T) Vector[T] {
 	// Pad small tails: structures rebuilt via FromSlice almost always keep
 	// appending (or overwriting) in owned mode right after, and the spare
 	// capacity turns their next growth into an in-place write.
-	tailCap := count - tailOff
-	if tailCap < 8 {
-		tailCap = 8
-	}
+	tcap := max(count-tailOff, 8)
 	chunkAllocs.Add(1)
-	tail := append(make([]T, 0, tailCap), vals[tailOff:]...)
+	tail := append(make([]T, 0, tcap), vals[tailOff:]...)
 	if tailOff == 0 {
 		return Vector[T]{count: count, shift: bits, tail: tail}
 	}
@@ -207,20 +205,6 @@ func (v Vector[T]) Get(i int) T {
 	if i < 0 || i >= v.count {
 		panic(fmt.Sprintf("cow: index %d out of range [0,%d)", i, v.count))
 	}
-	if v.relaxed() {
-		return v.getRelaxed(i)
-	}
-	if i >= v.tailOffset() {
-		return v.tail[i-v.tailOffset()]
-	}
-	n := v.root
-	for level := v.shift; level > 0; level -= bits {
-		n = n.children[(i>>level)&mask]
-	}
-	return n.values[i&mask]
-}
-
-func (v Vector[T]) getRelaxed(i int) T {
 	if off := v.count - len(v.tail); i >= off {
 		return v.tail[i-off]
 	}
@@ -228,8 +212,9 @@ func (v Vector[T]) getRelaxed(i int) T {
 	return vals[j]
 }
 
-// leafFor returns the values of the leaf holding trie index i of a relaxed
-// vector, and i's index within them. Below the first strict node the
+// leafFor returns the values of the leaf holding trie index i, and i's
+// index within them. Relaxed nodes are walked by their size tables; below
+// the first strict node (the root, on a vector no splice touched) the
 // descent is the plain radix one.
 func (v Vector[T]) leafFor(i int) ([]T, int) {
 	n, level := v.root, v.shift
@@ -313,15 +298,8 @@ func (v Vector[T]) AppendOwned(x T) Vector[T] {
 			v.count++
 			return v
 		}
-		newCap := 2 * n
-		if newCap < 8 {
-			newCap = 8
-		}
-		if newCap > width {
-			newCap = width
-		}
 		chunkAllocs.Add(1)
-		nt := make([]T, n, newCap)
+		nt := make([]T, n, tailCap(n))
 		copy(nt, v.tail)
 		if !v.sharedTail {
 			// The receiver's backing was exclusively owned (a sealed tail no
@@ -351,18 +329,7 @@ func (v *Vector[T]) MarkShared() { v.sharedTail = true }
 // instead of one per write. Trie-resident indexes take the ordinary
 // path-copying route, which never touches the tail.
 func (v Vector[T]) SetOwned(i int, x T) Vector[T] {
-	if v.relaxed() {
-		return v.setRelaxed(i, x, true)
-	}
-	if i < 0 || i >= v.count {
-		panic(fmt.Sprintf("cow: index %d out of range [0,%d)", i, v.count))
-	}
-	off := v.tailOffset()
-	if i < off {
-		v.root = setInTrie(v.root, v.shift, i, x)
-		return v
-	}
-	return v.setTailOwned(i-off, x)
+	return v.set(i, x, true)
 }
 
 // ownsSpareTail is the in-place rule of the owned mutators: no sealed view
@@ -450,32 +417,20 @@ func pushTail[T any](parent *node[T], level uint, lastIdx int, tailNode *node[T]
 // Set returns a vector with index i replaced by x. It panics when i is
 // out of range.
 func (v Vector[T]) Set(i int, x T) Vector[T] {
-	if v.relaxed() {
-		return v.setRelaxed(i, x, false)
-	}
-	if i < 0 || i >= v.count {
-		panic(fmt.Sprintf("cow: index %d out of range [0,%d)", i, v.count))
-	}
-	if i >= v.tailOffset() {
-		chunkAllocs.Add(1)
-		newTail := append([]T(nil), v.tail...)
-		newTail[i-v.tailOffset()] = x
-		return Vector[T]{count: v.count, shift: v.shift, root: v.root, tail: newTail}
-	}
-	// The tail is reused, so the shared-tail mark must ride along.
-	return Vector[T]{count: v.count, shift: v.shift, root: setInTrie(v.root, v.shift, i, x), tail: v.tail, sharedTail: v.sharedTail}
+	return v.set(i, x, false)
 }
 
-// setRelaxed is Set (owned false) and SetOwned (owned true) on a relaxed
-// vector.
-func (v Vector[T]) setRelaxed(i int, x T, owned bool) Vector[T] {
+// set is Set (owned false) and SetOwned (owned true). A trie write copies
+// the path and keeps the tail, shared-tail mark included; a tail write
+// outside SetOwned's rule installs a fresh copy.
+func (v Vector[T]) set(i int, x T, owned bool) Vector[T] {
 	if i < 0 || i >= v.count {
 		panic(fmt.Sprintf("cow: index %d out of range [0,%d)", i, v.count))
 	}
 	off := v.count - len(v.tail)
 	switch {
 	case i < off:
-		v.root = setRelaxedTrie(v.root, v.shift, i, x)
+		v.root = setInTrie(v.root, v.shift, i, x)
 	case owned:
 		return v.setTailOwned(i-off, x)
 	default:
@@ -487,27 +442,21 @@ func (v Vector[T]) setRelaxed(i int, x T, owned bool) Vector[T] {
 	return v
 }
 
+// setInTrie copies the path from n, a node at level, to trie index i and
+// writes x there. Relaxed nodes are walked by their size tables, which the
+// copies share.
 func setInTrie[T any](n *node[T], level uint, i int, x T) *node[T] {
 	if level == 0 {
 		ret := newLeaf(n.values)
 		ret.values[i&mask] = x
 		return ret
 	}
-	ret := &node[T]{children: n.children}
-	idx := (i >> level) & mask
-	ret.children[idx] = setInTrie(n.children[idx], level-bits, i, x)
-	return ret
-}
-
-// setRelaxedTrie is setInTrie through relaxed nodes; the copies share the
-// unchanged size tables.
-func setRelaxedTrie[T any](n *node[T], level uint, i int, x T) *node[T] {
-	if n.sizes == nil {
-		return setInTrie(n, level, i, x)
-	}
-	j, i := n.sizes.find(i, level)
 	ret := &node[T]{children: n.children, sizes: n.sizes}
-	ret.children[j] = setRelaxedTrie(n.children[j], level-bits, i, x)
+	j := (i >> level) & mask
+	if n.sizes != nil {
+		j, i = n.sizes.find(i, level)
+	}
+	ret.children[j] = setInTrie(n.children[j], level-bits, i, x)
 	return ret
 }
 

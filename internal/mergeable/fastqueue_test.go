@@ -162,6 +162,38 @@ func TestFastQueueCompaction(t *testing.T) {
 	}
 }
 
+// TestQueueInteriorDeleteDropsPrefix pins that an interior delete, which
+// splices past the consumed prefix, drops that prefix once it dominates,
+// as a front pop does, on both queue types.
+func TestQueueInteriorDeleteDropsPrefix(t *testing.T) {
+	del := []ot.Op{ot.SeqDelete{Pos: 1, N: 80}}
+	want := []int{90}
+	for i := 171; i < 200; i++ {
+		want = append(want, i)
+	}
+	q, fq := NewQueue[int](), NewFastQueue[int]()
+	for i := 0; i < 200; i++ {
+		q.Push(i)
+		fq.Push(i)
+	}
+	for i := 0; i < 90; i++ { // head 90 of 200: below half, no compaction yet
+		q.PopFront()
+		fq.PopFront()
+	}
+	if err := q.ApplyRemote(del); err != nil {
+		t.Fatal(err)
+	}
+	if err := fq.ApplyRemote(del); err != nil {
+		t.Fatal(err)
+	}
+	if q.head != 0 || fq.head != 0 {
+		t.Fatalf("consumed prefix kept: Queue head %d, FastQueue head %d", q.head, fq.head)
+	}
+	if !reflect.DeepEqual(q.Values(), want) || !reflect.DeepEqual(fq.Values(), want) {
+		t.Fatalf("values %v / %v, want %v", q.Values(), fq.Values(), want)
+	}
+}
+
 // TestFastQueueMergeSemantics replays the producer/consumer and
 // concurrent-pop merge scenarios against the COW queue.
 func TestFastQueueMergeSemantics(t *testing.T) {

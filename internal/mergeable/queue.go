@@ -144,6 +144,7 @@ func (q *Queue[T]) applySeq(op ot.Op) error {
 			return nil
 		}
 		q.vec = q.vec.Splice(q.head+v.Pos, v.N)
+		q.maybeCompact() // the splice kept the consumed prefix
 		return nil
 	case ot.SeqSet:
 		if v.Pos < 0 || v.Pos >= n {
