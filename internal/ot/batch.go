@@ -12,7 +12,7 @@ package ot
 // composite run-ops and walks the grid at run granularity. A cell of the
 // run grid — one client run against one server run — is resolved by a
 // closed-form rigid translation whenever the runs do not genuinely
-// interleave (runCellUniform); only interleaving cells are "exploded" back
+// interleave (uniformRow); only interleaving cells are "exploded" back
 // to their constituent operations and handed to the exact pairwise
 // machinery. Both engines therefore produce *identical* operation
 // sequences — not merely equivalent ones — which is what the differential
@@ -27,7 +27,7 @@ package ot
 // specialized to runs. For each role pair the guard condition guarantees,
 // by induction over the cell's internal pairwise grid, that every client
 // constituent is transformed to a rigid shift by the same delta and every
-// server constituent likewise (see the case analysis in runCellUniform).
+// server constituent likewise (see the case analysis in uniformRow).
 // Because a run is transformed exactly as its constituents would have
 // been, TP1 of the pairwise algebra carries over unchanged.
 
@@ -81,97 +81,60 @@ func coalesceRuns(sh []shapeOp, dst []seqRun) []seqRun {
 	return dst
 }
 
-// runCellUniform decides one cell of the run grid: client run a against
-// server run b (priority side). ok reports a closed form — a rigid
-// translation of a by dA and of b by dB covering every constituent — and
-// is false when the runs genuinely interleave, which sends the cell to
-// explodeCell.
+// uniformRow walks client run x across the server row in place, one cell
+// per server run: while a cell resolves to a closed form — a rigid
+// translation of x and of the server run covering every constituent — it
+// adds the shifts to x.pos and row[i].pos and moves on. It returns the index
+// of the first cell whose runs genuinely interleave (len(row) when none
+// does); that cell and the rest of the row are left untouched for the exact
+// machinery (explodeCell).
 //
-// Guards are derived per role pair; (pa,na) is a's composite, (qb,mb) is
-// b's. The recurring induction: when b's run starts at or before pa, its
-// j-th constituent lands at qb+prefix ≤ pa+prefix, which is exactly the
-// client run's base after the preceding shifts, so every cell of the
-// internal grid resolves the same way (ties break toward the server).
-// Symmetrically when b starts at or past the client run's end pa+na. A
-// server run that starts strictly inside (pa, pa+na) interleaves.
-func runCellUniform(a, b seqRun) (dA, dB int, ok bool) {
-	pa, na, qb, mb := a.pos, a.n, b.pos, b.n
-	switch a.role {
+// Guards are derived per role pair; (pa,na) is x's composite, (qb,mb) the
+// server run's. The recurring induction: when the server run ends at or
+// before pa (an insert run: starts at or before it), its j-th constituent
+// lands at or before the client run's base after the preceding shifts, so
+// every cell of the internal grid resolves the same way (ties break toward
+// the server) and only x moves: by +mb past inserts, -mb past deletes, not
+// at all past overwrites. Symmetrically, a server run starting at or past
+// the client run's end pa+na moves by the client run's length: +na past
+// inserts, -na past deletes, not at all past overwrites. Overwrites never
+// move client inserts, so a server overwrite run only has to start at or
+// after an insert run's base to be past it. Anything else interleaves.
+// Uniform cells only ever translate runs; na never changes.
+func uniformRow(x *seqRun, row []seqRun) int {
+	pa, na := x.pos, x.n
+	// The client's role, switched once for the whole row: dB is the shift
+	// of a server run past x, setGap how far past pa a server overwrite run
+	// must start to be past x.
+	dB, setGap := 0, na
+	switch x.role {
 	case roleInsert:
-		switch b.role {
-		case roleInsert:
-			// Ties included: the server run wins, the whole client run lands
-			// after it (the parent-appends-vs-child-appends showcase).
-			if qb <= pa {
-				return mb, 0, true
-			}
-			if qb >= pa+na {
-				return 0, na, true
-			}
-		case roleDelete:
-			if qb+mb <= pa {
-				return -mb, 0, true
-			}
-			if qb >= pa+na {
-				return 0, na, true
-			}
-		case roleSet:
-			// Overwrites never move the client inserts; they shift past them
-			// exactly when they start at or after the insertion base.
-			if qb >= pa {
-				return 0, na, true
-			}
-			if qb+mb <= pa {
-				return 0, 0, true
-			}
-		}
+		dB, setGap = na, 0
 	case roleDelete:
-		switch b.role {
-		case roleInsert:
-			if qb <= pa {
-				return mb, 0, true
-			}
-			if qb >= pa+na {
-				return 0, -na, true
-			}
-		case roleDelete:
-			if qb+mb <= pa {
-				return -mb, 0, true
-			}
-			if qb >= pa+na {
-				return 0, -na, true
-			}
-		case roleSet:
-			if qb+mb <= pa {
-				return 0, 0, true
-			}
-			if qb >= pa+na {
-				return 0, -na, true
-			}
-		}
-	case roleSet:
-		switch b.role {
-		case roleInsert:
-			if qb <= pa {
-				return mb, 0, true
-			}
-			if qb >= pa+na {
-				return 0, 0, true
-			}
-		case roleDelete:
-			if qb+mb <= pa {
-				return -mb, 0, true
-			}
-			if qb >= pa+na {
-				return 0, 0, true
-			}
-		case roleSet:
-			if qb+mb <= pa || qb >= pa+na {
-				return 0, 0, true
-			}
+		dB = -na
+	}
+	for i := range row {
+		y := &row[i]
+		qb, mb := y.pos, y.n
+		switch {
+		case y.role == roleInsert && qb <= pa:
+			// Ties included: the server run wins, the whole client run
+			// lands after it (the parent-appends-vs-child-appends showcase).
+			pa += mb
+		case y.role == roleDelete && qb+mb <= pa:
+			pa -= mb
+		case y.role == roleSet && qb+mb <= pa:
+			// An overwrite run is never empty, so it cannot also start at
+			// or after pa: the order of these two guards is immaterial.
+		case qb >= pa+na, y.role == roleSet && qb >= pa+setGap:
+			y.pos += dB
+		default:
+			x.pos = pa
+			return i
 		}
 	}
-	return 0, 0, false
+	x.pos = pa
+	return len(row)
 }
 
 // batchScratch holds every buffer of one run-grid walk, reused across
@@ -227,13 +190,11 @@ func (sc *batchScratch) mutualRunVsSeq(x seqRun, ys []seqRun, xDst, ysDst []seqR
 	case 0:
 		return append(xDst, x), ysDst
 	case 1:
-		y := ys[0]
-		if dA, dB, ok := runCellUniform(x, y); ok {
-			x.pos += dA
-			y.pos += dB
-			return append(xDst, x), append(ysDst, y)
+		row := [1]seqRun{ys[0]}
+		if uniformRow(&x, row[:]) == 1 {
+			return append(xDst, x), append(ysDst, row[0])
 		}
-		return sc.explodeCell(x, y, xDst, ysDst)
+		return sc.explodeCell(x, ys[0], xDst, ysDst)
 	}
 	var xb, xb2 [4]seqRun
 	xList := append(xb[:0], x)
@@ -260,6 +221,13 @@ func (sc *batchScratch) mutualRunVsSeq(x seqRun, ys []seqRun, xDst, ysDst []seqR
 // in sc.aOut and the transformed server runs in the returned slice (the
 // caller materializes them only when it needs the server side). The output
 // is operation-for-operation identical to transformShapeSeqs.
+//
+// Each client run first crosses the server row in place (uniformRow). A
+// row with no interleaving cell is done there: no copy of the row, no
+// per-cell buffers. At the first interleaving cell i the row splits: the
+// cells before i are already transformed and are copied into bNext as they
+// stand, and cell i onward goes through mutualRunVsSeq cell by cell, which
+// is exactly the order in which the pairwise walk resolves them.
 func (sc *batchScratch) transformRuns(aS, bS []shapeOp) (bFinal []seqRun) {
 	sc.aCons = append(sc.aCons[:0], aS...)
 	sc.bCons = append(sc.bCons[:0], bS...)
@@ -269,11 +237,16 @@ func (sc *batchScratch) transformRuns(aS, bS []shapeOp) (bFinal []seqRun) {
 	sc.aOut = sc.aOut[:0]
 	xCur, xAlt := sc.xCur[:0], sc.xAlt[:0]
 	yCur, yAlt := sc.yCur[:0], sc.yAlt[:0]
-	for ai := range sc.aRuns {
-		xCur = append(xCur[:0], sc.aRuns[ai])
-		bNext = bNext[:0]
-		for bi := range bCur {
-			yCur = append(yCur[:0], bCur[bi])
+	for _, x := range sc.aRuns {
+		i := uniformRow(&x, bCur)
+		if i == len(bCur) {
+			sc.aOut = appendRunShapes(sc.aOut, x, sc.aCons)
+			continue
+		}
+		xCur = append(xCur[:0], x)
+		bNext = append(bNext[:0], bCur[:i]...)
+		for _, y := range bCur[i:] {
+			yCur = append(yCur[:0], y)
 			xAlt = xAlt[:0]
 			for xi := 0; xi < len(xCur); xi++ {
 				yAlt = yAlt[:0]

@@ -185,7 +185,7 @@ func TestBatchedTransformRandomHistories(t *testing.T) {
 }
 
 // TestBatchedTransformBoundaries pins the hand-derived closed-form guard
-// boundaries of runCellUniform: server runs landing exactly at a client
+// boundaries of uniformRow: server runs landing exactly at a client
 // run's start, end, one inside either edge, ties at equal positions, and
 // interleavings that must explode.
 func TestBatchedTransformBoundaries(t *testing.T) {
@@ -307,4 +307,143 @@ func FuzzBatchedTransform(f *testing.F) {
 			t.Fatalf("batched/pairwise divergence (see log)")
 		}
 	})
+}
+
+// firstHandOff reports where the first client run of a leaves the uniform
+// row kernel: the index of the first server run it interleaves with, or the
+// number of server runs when the whole row is uniform.
+func firstHandOff(a, b []Op) int {
+	aS, bS, _ := toShapeOps(a, b)
+	aRuns := coalesceRuns(aS, nil)
+	bRuns := coalesceRuns(bS, nil)
+	return uniformRow(&aRuns[0], bRuns)
+}
+
+// TestBatchedTransformMidRowHandOff pins the seam between the in-place
+// uniform row and the exact machinery: in every case the first client
+// run's row starts with uniform cells that have already moved both sides
+// when a later cell interleaves, and the cells after it, plus a second
+// client run, cross the transformed row again.
+func TestBatchedTransformMidRowHandOff(t *testing.T) {
+	base := make([]any, 64)
+	for i := range base {
+		base[i] = -i
+	}
+	delAt := func(p int) Op { return SeqDelete{Pos: p, N: 1} }
+	insAt := func(p, v int) Op { return SeqInsert{Pos: p, Elems: []any{v}} }
+	setAt := func(p, v int) Op { return SeqSet{Pos: p, Elem: v} }
+	cases := []struct {
+		name string
+		a, b []Op
+		want int // server run index of the first row's hand-off
+	}{{
+		// Client deletes [21, 25) after the server's insert at 2; the
+		// server's insert at 23 lands inside and splits the run.
+		name: "delete run split by server insert",
+		a:    []Op{delAt(20), delAt(20), delAt(20), delAt(20), insAt(40, 100)},
+		b:    []Op{insAt(2, 200), delAt(40), setAt(50, 201), insAt(23, 202), delAt(0), insAt(55, 203)},
+		want: 3,
+	}, {
+		// Client inserts at [19, 23) after the server's delete at 5; the
+		// server's insert at 21 lands strictly inside the run.
+		name: "insert run with server insert inside",
+		a:    []Op{insAt(20, 100), insAt(21, 101), insAt(22, 102), insAt(23, 103), delAt(0)},
+		b:    []Op{delAt(5), insAt(60, 200), insAt(21, 201), setAt(3, 202), delAt(30)},
+		want: 2,
+	}, {
+		// Client overwrites [21, 25); the server's sweep over [22, 26)
+		// collides on three slots, and the server wins them.
+		name: "colliding overwrite sweeps",
+		a:    []Op{setAt(20, 100), setAt(21, 101), setAt(22, 102), setAt(23, 103), insAt(10, 104)},
+		b:    []Op{insAt(0, 200), setAt(40, 201), setAt(22, 202), setAt(23, 203), setAt(24, 204), setAt(25, 205), delAt(1)},
+		want: 2,
+	}, {
+		// Both sides delete the element at 32 once the earlier cells have
+		// moved the client's delete there: both deletes are absorbed.
+		name: "equal-slot singleton deletes",
+		a:    []Op{delAt(30), insAt(5, 100)},
+		b:    []Op{insAt(10, 200), delAt(50), insAt(3, 201), delAt(32), delAt(0), insAt(60, 202)},
+		want: 3,
+	}}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if got := firstHandOff(c.a, c.b); got != c.want {
+				t.Fatalf("first row hands off at server run %d, want %d", got, c.want)
+			}
+			if !checkEngineAgreement(t, base, c.a, c.b) {
+				t.Fatal("engines disagree (see log)")
+			}
+		})
+	}
+}
+
+// genScatterHistory generates a sequentially valid history of n singleton
+// operations at uniformly random positions over a base of startLen
+// elements: mostly inserts and deletes, a few overwrites. Neighbouring ops
+// almost never form runs, which is the merge_scatter workload's shape.
+func genScatterHistory(r *rand.Rand, startLen, n, tag int) []Op {
+	l := startLen
+	ops := make([]Op, 0, n)
+	for i := 0; i < n; i++ {
+		v := tag*10000 + i
+		switch k := r.Intn(8); {
+		case l == 0 || k < 4:
+			ops = append(ops, SeqInsert{Pos: r.Intn(l + 1), Elems: []any{v}})
+			l++
+		case k < 7:
+			ops = append(ops, SeqDelete{Pos: r.Intn(l), N: 1})
+			l--
+		default:
+			ops = append(ops, SeqSet{Pos: r.Intn(l), Elem: v})
+		}
+	}
+	return ops
+}
+
+// TestBatchedTransformScatter is the differential property at scatter
+// scale: bases of 64–256 elements and 32–128 singleton ops per side, so
+// rows are long and the first interleaving cell (two deletes or two
+// overwrites of one slot) usually sits far into the row.
+func TestBatchedTransformScatter(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		n := 64 + r.Intn(193)
+		base := make([]any, n)
+		for i := range base {
+			base[i] = i
+		}
+		a := genScatterHistory(r, n, 32+r.Intn(97), 1)
+		b := genScatterHistory(r, n, 32+r.Intn(97), 2)
+		return checkEngineAgreement(t, base, a, b)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkTransformScatter measures the run-length engine on the shape of
+// one merge_scatter structure: 8 children of 64 singleton ops each over a
+// 1024-element base, child k transformed against a server history of 64·k
+// ops, as a MergeAll does. ns/cell is the cost of one client op against one
+// server op.
+func BenchmarkTransformScatter(b *testing.B) {
+	const baseLen, children, perChild = 1024, 8, 64
+	r := rand.New(rand.NewSource(1))
+	server := genScatterHistory(r, baseLen, children*perChild, 0)
+	clients := make([][]Op, children)
+	cells := 0
+	for k := range clients {
+		clients[k] = genScatterHistory(r, baseLen, perChild, k+1)
+		cells += perChild * perChild * (k + 1)
+	}
+	sc := NewMergeScratch()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k, c := range clients {
+			sc.TransformAgainst(c, server[:perChild*(k+1)])
+		}
+		sc.Reset()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cells), "ns/cell")
 }

@@ -56,22 +56,21 @@ func TransformSeqs(a, b []Op) (aT, bT []Op) {
 		// buffers; call it directly.
 		return TransformPair(a[0], b[0])
 	}
-	if aS, bS, ok := toShapeOps(a, b); ok {
-		// Run-length engine (batch.go): identical output to the pairwise
-		// transformShapeSeqs, O(runs) walk.
-		sc := scratchPool.Get().(*MergeScratch)
-		bRuns := sc.batch.transformRuns(aS, bS)
-		aT = materializeShapes(sc.batch.aOut)
-		bSh := sc.batch.xsh[:0]
-		for _, r := range bRuns {
-			bSh = appendRunShapes(bSh, r, sc.batch.bCons)
-		}
-		sc.batch.xsh = bSh
-		bT = materializeShapes(bSh)
-		scratchPool.Put(sc)
-		return aT, bT
+	sc := scratchPool.Get().(*MergeScratch)
+	defer scratchPool.Put(sc)
+	aS, bS, ok := sc.toShapes(a, b)
+	if !ok {
+		return transformSeqsGeneric(a, b)
 	}
-	return transformSeqsGeneric(a, b)
+	// Run-length engine (batch.go): identical output to the pairwise
+	// transformShapeSeqs, O(runs) walk.
+	bRuns := sc.batch.transformRuns(aS, bS)
+	bSh := sc.batch.xsh[:0]
+	for _, r := range bRuns {
+		bSh = appendRunShapes(bSh, r, sc.batch.bCons)
+	}
+	sc.batch.xsh = bSh
+	return sc.carve(sc.batch.aOut, true), sc.carve(bSh, true)
 }
 
 // transformSeqsGeneric is the interface-typed control recursion, kept as
@@ -120,16 +119,12 @@ func TransformAgainst(client, server []Op) []Op {
 	return out
 }
 
-// transformScalarFast handles client/server sequences drawn entirely from
-// the scalar families. ok is false when any operation is positional (or
-// unknown), in which case the caller falls back to the general algorithm.
-func transformScalarFast(client, server []Op) ([]Op, bool) {
-	return transformScalarFastInto(client, server, nil)
-}
-
-// transformScalarFastInto is transformScalarFast appending surviving
-// operations onto dst (which may be an arena; it is guaranteed untouched
-// when ok is false). A nil dst allocates lazily.
+// transformScalarFastInto handles client/server sequences drawn entirely
+// from the scalar families, appending the surviving client operations onto
+// dst (which may be an arena; it is guaranteed untouched when ok is false).
+// A nil dst allocates lazily. ok is false when any operation is positional
+// (or unknown), in which case the caller falls back to the general
+// algorithm.
 func transformScalarFastInto(client, server, dst []Op) ([]Op, bool) {
 	if len(client) == 0 || len(server) == 0 {
 		return client, true

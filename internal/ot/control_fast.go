@@ -77,41 +77,6 @@ func (s shapeOp) materialize() Op {
 	return s.src
 }
 
-// toShapeOps unwraps both sequences. ok is false when any operation is not
-// shape-representable; mixing the list and text families inside one
-// transform is a caller bug and is also rejected here (it would panic in
-// the generic path).
-func toShapeOps(a, b []Op) (aS, bS []shapeOp, ok bool) {
-	aS = make([]shapeOp, len(a))
-	for i, op := range a {
-		s, sOK := shapeOpOf(op)
-		if !sOK {
-			return nil, nil, false
-		}
-		aS[i] = s
-	}
-	bS = make([]shapeOp, len(b))
-	for i, op := range b {
-		s, sOK := shapeOpOf(op)
-		if !sOK {
-			return nil, nil, false
-		}
-		bS[i] = s
-	}
-	return aS, bS, true
-}
-
-func materializeShapes(s []shapeOp) []Op {
-	if len(s) == 0 {
-		return nil
-	}
-	out := make([]Op, len(s))
-	for i, x := range s {
-		out[i] = x.materialize()
-	}
-	return out
-}
-
 // appendShapeResult expands one pairwise result into dst, dropping absorbed
 // operations and carrying src through splits.
 func appendShapeResult(dst []shapeOp, src Op, r seqResult) []shapeOp {
@@ -213,19 +178,14 @@ func allSeqSets(ops []Op) bool {
 	return true
 }
 
-// transformSetFast handles client/server sequences consisting solely of
-// SeqSet operations in O(|client|+|server|): overwrites never reposition
+// transformSetFastInto handles client/server sequences consisting solely
+// of SeqSet operations in O(|client|+|server|): overwrites never reposition
 // anything, so a client set either survives verbatim or is absorbed by a
 // server set of the same slot (the server has priority), and the server
-// sequence is never modified. Mirrors transformAgainstSet with
+// sequence is never modified. Surviving operations are appended onto dst
+// (which may be an arena; it is guaranteed untouched when ok is false); a
+// nil dst allocates lazily. Mirrors transformAgainstSet with
 // bPriority=true, pinned by TestSetFastPathMatchesGeneric.
-func transformSetFast(client, server []Op) ([]Op, bool) {
-	return transformSetFastInto(client, server, nil)
-}
-
-// transformSetFastInto is transformSetFast appending surviving operations
-// onto dst (which may be an arena; it is guaranteed untouched when ok is
-// false). A nil dst allocates lazily.
 func transformSetFastInto(client, server, dst []Op) ([]Op, bool) {
 	if len(client) == 0 || len(server) == 0 {
 		return client, true

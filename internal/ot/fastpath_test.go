@@ -7,6 +7,33 @@ import (
 	"testing/quick"
 )
 
+// The helpers below wrap the production fast paths the way the tests call
+// them: freshly allocated, caller-owned results and no scratch arena.
+
+// transformScalarFast is transformScalarFastInto onto a fresh slice.
+func transformScalarFast(client, server []Op) ([]Op, bool) {
+	return transformScalarFastInto(client, server, nil)
+}
+
+// transformSetFast is transformSetFastInto onto a fresh slice.
+func transformSetFast(client, server []Op) ([]Op, bool) {
+	return transformSetFastInto(client, server, nil)
+}
+
+// toShapeOps unwraps both sequences into fresh slices. ok is false when any
+// operation is not shape-representable.
+func toShapeOps(a, b []Op) (aS, bS []shapeOp, ok bool) {
+	var sc MergeScratch
+	aS, bS, ok = sc.toShapes(a, b)
+	return append([]shapeOp(nil), aS...), append([]shapeOp(nil), bS...), ok
+}
+
+// materializeShapes boxes transformed shapes into a fresh slice.
+func materializeShapes(s []shapeOp) []Op {
+	var sc MergeScratch
+	return sc.carve(s, true)
+}
+
 // TestScalarFastPathMatchesGeneric pins the keyed O(n+m) scalar transform
 // against the general recursion: identical effects on identical states,
 // for random single-family sequences (the runtime's shape).

@@ -42,7 +42,8 @@ func (sc *MergeScratch) Reset() {
 
 var scratchPool = sync.Pool{New: func() any { return &MergeScratch{} }}
 
-// toShapes is toShapeOps into the scratch's unwrap buffers.
+// toShapes unwraps both sequences into the scratch's unwrap buffers. ok is
+// false when any operation is not shape-representable.
 func (sc *MergeScratch) toShapes(a, b []Op) (aS, bS []shapeOp, ok bool) {
 	aS = sc.aS[:0]
 	for _, op := range a {
@@ -136,7 +137,7 @@ func transformAgainstScratch(client, server []Op, sc *MergeScratch, owned bool) 
 		sc.batch.transformRuns(aS, bS)
 		return sc.carve(sc.batch.aOut, owned)
 	}
-	aT, _ := TransformSeqs(client, server)
+	aT, _ := transformSeqsGeneric(client, server)
 	return aT
 }
 
