@@ -44,9 +44,10 @@ soak-trace:
 
 # Collab front-door soak: seeded chaos rounds (drops, resets, dial
 # failures, partition pulses) must complete the full multi-client edit
-# workload via reconnect+RESUME and converge on the fault-free canonical
-# fingerprint; a final overload round must shed visibly without losing
-# or duplicating an acked edit.
+# workload via reconnect+RESUME against the one-shard ShardedServer and
+# converge on the closed-form canonical fingerprint (every client's
+# markers, each once); a final overload round must shed visibly without
+# losing or duplicating an acked edit.
 soak-collab:
 	$(GO) run ./cmd/soak -collab -duration 30s
 
@@ -62,7 +63,7 @@ soak-mem:
 # Sharded-service smoke (<15s of runtime): one trimmed pass of the full
 # battery — 1/2/4-shard clean runs over memnet, a seeded-chaos round on
 # the inter-shard fabric, and a SIGKILL+resume of one journaled shard —
-# each verified against the single-process reference fingerprints. The
+# each verified against the closed-form reference fingerprints. The
 # nightly job runs the full 100k-op pass.
 soak-shard:
 	$(GO) run ./cmd/soak -shard -shard-ops 4000 -duration 1ms

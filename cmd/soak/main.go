@@ -43,10 +43,10 @@
 // faultnet (drops, resets, dial failures and self-healing partition
 // pulses) — every client must complete its whole edit script via
 // automatic reconnect+resume, and the canonical final fingerprint and
-// exact edit count must match a fault-free reference run. A final
-// overload round starves the admission gates (session cap, token bucket,
-// merge backpressure) and demands explicit BUSY shedding with zero lost
-// or duplicated acked edits.
+// exact edit count must match the closed-form reference (every marker
+// once). A final overload round starves the admission gates (session cap,
+// token bucket) and demands explicit BUSY shedding with zero lost or
+// duplicated acked edits.
 //
 // With -mem the soak probes the bounded-memory guarantee: every round
 // runs a compressed endurance workload unbounded (history GC off, no
@@ -79,6 +79,7 @@ import (
 	"os"
 	"os/exec"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 
@@ -1031,10 +1032,30 @@ const (
 	collabEdits   = 50
 )
 
+// collabServe starts the single-process configuration of the collab
+// service — one shard hosting the one empty document "doc".
+func collabServe(l collab.Listener, front collab.Options) (*collab.ShardedServer, error) {
+	return collab.ServeSharded(l, map[string]string{"doc": ""}, collab.ShardedOptions{Front: front})
+}
+
+// markerSet is the closed-form outcome of the marker workloads: every
+// listed client's markers c<id>-e<j>; for j < edits, each written once.
+// Its canonical fingerprint is the one a correct run must end on.
+func markerSet(ids []int, edits int) string {
+	var sb strings.Builder
+	for _, id := range ids {
+		for j := 0; j < edits; j++ {
+			fmt.Fprintf(&sb, "c%d-e%d;", id, j)
+		}
+	}
+	return sb.String()
+}
+
 // collabDrive runs the front-door workload: `clients` concurrent editors
-// each prepend `edits` unique `;`-terminated markers and say BYE. It
-// returns the first client error — under reconnect+resume a chaos run is
-// expected to complete the exact same workload a fault-free run does.
+// of "doc" each prepend `edits` unique `;`-terminated markers and say
+// BYE. It returns the first client error — under reconnect+resume a chaos
+// run is expected to complete the exact same workload a fault-free run
+// does.
 func collabDrive(d collab.Dialer, clients, edits int, opts collab.ClientOptions) error {
 	errs := make(chan error, clients)
 	var wg sync.WaitGroup
@@ -1048,6 +1069,10 @@ func collabDrive(d collab.Dialer, clients, edits int, opts collab.ClientOptions)
 				return
 			}
 			defer c.Close()
+			if _, err := c.Use("doc"); err != nil {
+				errs <- fmt.Errorf("client %d: use: %w", id, err)
+				return
+			}
 			for j := 0; j < edits; j++ {
 				if _, err := c.Insert(0, fmt.Sprintf("c%d-e%d;", id, j)); err != nil {
 					errs <- fmt.Errorf("client %d edit %d: %w", id, j, err)
@@ -1067,20 +1092,26 @@ func collabDrive(d collab.Dialer, clients, edits int, opts collab.ClientOptions)
 	return nil
 }
 
-// collabReference runs the workload fault-free on memnet and returns the
-// canonical fingerprint and exact edit count every probe must reproduce.
-func collabReference() (uint64, int64, error) {
-	l := memnet.Listen(64)
-	srv := collab.Serve(l, "")
-	err := collabDrive(l, collabClients, collabEdits, collab.ClientOptions{})
-	l.Close()
-	if werr := srv.Wait(); werr != nil && err == nil {
-		err = werr
+// collabReference returns the canonical fingerprint and exact edit count
+// every probe must reproduce: each client's markers, each once.
+func collabReference() (uint64, int64) {
+	ids := make([]int, collabClients)
+	for id := range ids {
+		ids[id] = id
 	}
-	if err != nil {
-		return 0, 0, err
+	return collab.CanonicalFingerprint(markerSet(ids, collabEdits)), collabClients * collabEdits
+}
+
+// collabFinish shuts a probe's server down and returns its final document
+// fingerprint and edit count, folding its counters into counters under
+// prefix.
+func collabFinish(srv *collab.ShardedServer, prefix string, counters *stats.Counters) (uint64, int64, error) {
+	err := srv.Shutdown()
+	for k, v := range srv.Stats().Snapshot() {
+		counters.Add(prefix+k, v)
 	}
-	return collab.CanonicalFingerprint(srv.Document()), srv.Edits(), nil
+	doc, _ := srv.Document("doc")
+	return collab.CanonicalFingerprint(doc), srv.Edits(), err
 }
 
 // collabProbe runs one seeded chaos round: drops, resets, dial failures
@@ -1095,7 +1126,10 @@ func collabProbe(seed int64, counters *stats.Counters) (uint64, int64, error) {
 		DialFailProb: 0.02,
 	})
 	l := fnet.Listen(0, 64)
-	srv := collab.ServeWith(l, "", collab.Options{Seed: seed, Counters: stats.NewCounters()})
+	srv, err := collabServe(l, collab.Options{Seed: seed, Counters: stats.NewCounters()})
+	if err != nil {
+		return 0, 0, err
+	}
 
 	// A bounded burst of partition pulses: each blackholes the next few
 	// writes and self-heals on traffic. The burst must end — a pulse every
@@ -1114,72 +1148,51 @@ func collabProbe(seed int64, counters *stats.Counters) (uint64, int64, error) {
 			}
 		}
 	}()
-	err := collabDrive(l, collabClients, collabEdits, collab.ClientOptions{
+	err = collabDrive(l, collabClients, collabEdits, collab.ClientOptions{
 		RequestTimeout: 100 * time.Millisecond,
 		Backoff:        collab.Backoff{Base: time.Millisecond, Cap: 20 * time.Millisecond, MaxAttempts: 2000},
 	})
 	close(stop)
 	<-pulses
 	fnet.Heal(0)
-	l.Close()
-	if werr := srv.Wait(); werr != nil && err == nil {
-		err = werr
-	}
-	for k, v := range srv.Stats().Snapshot() {
-		counters.Add("collab."+k, v)
-	}
+	fp, edits, serr := collabFinish(srv, "collab.", counters)
 	for k, v := range fnet.Stats().Snapshot() {
 		counters.Add("faultnet."+k, v)
 	}
-	if err != nil {
-		return 0, 0, err
-	}
-	return collab.CanonicalFingerprint(srv.Document()), srv.Edits(), nil
+	return fp, edits, errors.Join(err, serr)
 }
 
-// collabOverloadProbe starves the admission gates — session cap, token
-// bucket and merge backpressure — on a healthy network. The server must
-// shed explicitly (BUSY, counted) and still lose or duplicate nothing.
+// collabOverloadProbe starves the admission gates — session cap and
+// token bucket — on a healthy network. The server must shed explicitly
+// (BUSY, counted) and still lose or duplicate nothing.
 func collabOverloadProbe(counters *stats.Counters) (fp uint64, edits, shed int64, err error) {
 	l := memnet.Listen(64)
-	srv := collab.ServeWith(l, "", collab.Options{
+	srv, err := collabServe(l, collab.Options{
 		Admission: collab.Admission{
 			MaxSessions: 3,
-			MaxPending:  1,
 			RateBurst:   4,
 			RateEvery:   2,
 			RetryAfter:  time.Millisecond,
 		},
 	})
+	if err != nil {
+		return 0, 0, 0, err
+	}
 	err = collabDrive(l, collabClients, collabEdits, collab.ClientOptions{
 		RequestTimeout: 2 * time.Second,
 		Backoff:        collab.Backoff{Base: time.Millisecond, Cap: 5 * time.Millisecond, MaxAttempts: 50000},
 	})
-	l.Close()
-	if werr := srv.Wait(); werr != nil && err == nil {
-		err = werr
-	}
-	for k, v := range srv.Stats().Snapshot() {
-		counters.Add("overload."+k, v)
-	}
+	fp, edits, serr := collabFinish(srv, "overload.", counters)
 	st := srv.Stats()
-	shed = st.Get("shed") + st.Get("busy_rate") + st.Get("busy_merges")
-	if err != nil {
-		return 0, 0, shed, err
-	}
-	return collab.CanonicalFingerprint(srv.Document()), srv.Edits(), shed, nil
+	return fp, edits, st.Get("shed") + st.Get("busy_rate"), errors.Join(err, serr)
 }
 
 // collabSoak probes the collaborative front door until the deadline:
 // every chaos round must complete the full workload via reconnect+resume
-// and converge on the fault-free canonical fingerprint with an exact edit
-// count, then one overload round must shed visibly without loss.
+// and converge on the closed-form canonical fingerprint with an exact
+// edit count, then one overload round must shed visibly without loss.
 func collabSoak(duration time.Duration, baseSeed int64, reg *repro.MetricsRegistry) {
-	refFp, refEdits, err := collabReference()
-	if err != nil {
-		fmt.Printf("COLLAB REFERENCE FAILED (fault-free run, nothing injected): %v\n", err)
-		os.Exit(1)
-	}
+	refFp, refEdits := collabReference()
 	counters := stats.NewCounters()
 	if reg != nil {
 		reg.AddCounters("collab", counters)
@@ -1195,7 +1208,7 @@ func collabSoak(duration time.Duration, baseSeed int64, reg *repro.MetricsRegist
 			os.Exit(1)
 		}
 		if fp != refFp || edits != refEdits {
-			fmt.Printf("COLLAB CONVERGENCE VIOLATION: seed %d: canonical fingerprint %016x (%d edits) != fault-free %016x (%d edits)\n",
+			fmt.Printf("COLLAB CONVERGENCE VIOLATION: seed %d: canonical fingerprint %016x (%d edits) != reference %016x (%d edits)\n",
 				s, fp, edits, refFp, refEdits)
 			os.Exit(1)
 		}
@@ -1207,7 +1220,7 @@ func collabSoak(duration time.Duration, baseSeed int64, reg *repro.MetricsRegist
 		os.Exit(1)
 	}
 	if fp != refFp || edits != refEdits {
-		fmt.Printf("COLLAB OVERLOAD VIOLATION: canonical fingerprint %016x (%d edits) != fault-free %016x (%d edits)\n",
+		fmt.Printf("COLLAB OVERLOAD VIOLATION: canonical fingerprint %016x (%d edits) != reference %016x (%d edits)\n",
 			fp, edits, refFp, refEdits)
 		os.Exit(1)
 	}

@@ -15,14 +15,13 @@ import (
 )
 
 // The -shard soak probes the sharded document service at scale: the same
-// ≥100k-op client workload is run against a single-process MultiServer
-// reference and then against 1-, 2- and 4-shard topologies (wire batching
-// on), a 4-shard topology with the inter-shard fabric on seeded faultnet
-// chaos, and a 4-shard journaled topology whose busiest shard is
-// SIGKILLed and resumed mid-traffic. Every run must converge to the
-// reference's per-document canonical fingerprints with an exact edit
-// count — the cross-shard determinism guarantee under load, faults and
-// crash recovery.
+// ≥100k-op client workload is run against 1-, 2- and 4-shard topologies
+// (wire batching on), a 4-shard topology with the inter-shard fabric on
+// seeded faultnet chaos, and a 4-shard journaled topology whose busiest
+// shard is SIGKILLed and resumed mid-traffic. Every run must converge to
+// the closed-form per-document canonical fingerprints (each client's
+// markers, each once) with an exact edit count — the cross-shard
+// determinism guarantee under load, faults and crash recovery.
 
 // shardSoakClients spreads two writers per document. The fan-out is
 // deliberately wide: every OK reply quotes the whole post-merge document,
@@ -101,28 +100,21 @@ func shardDrive(d collab.Dialer, clients, edits int, opts collab.ClientOptions, 
 	return nil
 }
 
-// shardReference runs the workload on a single-process MultiServer — the
-// ground truth: per-document canonical fingerprints and the exact edit
-// count every sharded topology must reproduce.
-func shardReference(clients, edits int) (map[string]uint64, int64, error) {
-	l := memnet.Listen(1024)
-	ref := collab.ServeDocs(l, shardSoakInitial())
-	err := shardDrive(l, clients, edits, collab.ClientOptions{RequestTimeout: 10 * time.Second}, 8)
-	if serr := ref.Shutdown(); serr != nil && err == nil {
-		err = serr
+// shardReference is the ground truth every topology must reproduce: a
+// document's canonical fingerprint is that of the marker set of the
+// clients writing it (client id writes document id mod shardSoakDocs).
+func shardReference(clients, edits int) map[string]uint64 {
+	names := shardSoakDocNames()
+	writers := make(map[string][]int, len(names))
+	for id := 0; id < clients; id++ {
+		name := names[id%len(names)]
+		writers[name] = append(writers[name], id)
 	}
-	if err != nil {
-		return nil, 0, err
+	fps := make(map[string]uint64, len(names))
+	for _, name := range names {
+		fps[name] = collab.CanonicalFingerprint(markerSet(writers[name], edits))
 	}
-	fps := make(map[string]uint64, shardSoakDocs)
-	for _, name := range shardSoakDocNames() {
-		doc, ok := ref.Document(name)
-		if !ok {
-			return nil, 0, fmt.Errorf("reference lost document %q", name)
-		}
-		fps[name] = collab.CanonicalFingerprint(doc)
-	}
-	return fps, ref.Edits(), nil
+	return fps
 }
 
 // shardCheck verifies a completed sharded run against the reference.
@@ -284,7 +276,7 @@ func shardKillProbe(clients, edits int, want map[string]uint64, counters *stats.
 	return shardCheck(s, want, int64(clients*edits))
 }
 
-// shardSoak drives full passes — reference, 1/2/4-shard clean sweep,
+// shardSoak drives full passes — 1/2/4-shard clean sweep,
 // 4-shard chaos, 4-shard kill/resume — until the deadline, always
 // completing at least one pass. ops is the per-run client-op budget
 // (default 100k, trimmed by CI smoke).
@@ -301,15 +293,7 @@ func shardSoak(duration time.Duration, baseSeed int64, ops int, reg *repro.Metri
 	fmt.Printf("shard soak: %d clients × %d edits = %d ops per run over %d docs\n",
 		clients, edits, clients*edits, shardSoakDocs)
 
-	want, refEdits, err := shardReference(clients, edits)
-	if err != nil {
-		fmt.Printf("SHARD REFERENCE FAILED (single-process run, nothing injected): %v\n", err)
-		os.Exit(1)
-	}
-	if refEdits != int64(clients*edits) {
-		fmt.Printf("SHARD REFERENCE FAILED: reference edits = %d, want %d\n", refEdits, clients*edits)
-		os.Exit(1)
-	}
+	want := shardReference(clients, edits)
 
 	deadline := time.Now().Add(duration)
 	passes := 0
@@ -345,8 +329,9 @@ func shardSoak(duration time.Duration, baseSeed int64, ops int, reg *repro.Metri
 // (at quiescence: every session ends its pass with a read, which is a Sync)
 // the leg samples the service's ShardState and the post-GC heap; the last
 // sample must not exceed the second by more than slack, and the final
-// documents and edit count must equal a single-process MultiServer run of
-// the same passes.
+// documents and edit count must equal the closed-form reference: each
+// document has a single writer, so plain strings replaying the pass
+// script determine it.
 const (
 	memShardSessions = 32
 	memShardPassOps  = 1024 // mutations per session per pass
@@ -379,13 +364,19 @@ func memShardDial(d collab.Dialer) ([]*collab.Client, error) {
 	return clients, nil
 }
 
-// memShardPass runs pass number pass on every session concurrently.
+// memShardMarker is the marker session id prepends at step j of pass.
+func memShardMarker(id, pass, j int) string {
+	return fmt.Sprintf("%02d%05d;", id, (pass*memShardPassOps+j)/2%100000)
+}
+
+// memShardPass runs pass number pass on every session concurrently. Each
+// step inserts a marker at 0, then deletes 8 runes at 64.
 func memShardPass(clients []*collab.Client, pass int) error {
 	errs := make(chan error, len(clients))
 	for id, c := range clients {
 		go func(id int, c *collab.Client) {
 			for j := 0; j < memShardPassOps; j += 2 {
-				c.QueueInsert(0, fmt.Sprintf("%02d%05d;", id, (pass*memShardPassOps+j)/2%100000))
+				c.QueueInsert(0, memShardMarker(id, pass, j))
 				c.QueueDelete(64, 8)
 				if c.Queued() >= 8 {
 					if err := c.Flush(); err != nil {
@@ -477,39 +468,28 @@ func memShardLeg(budget time.Duration) {
 		memShardFail("post-GC heap grew %d → %d bytes over passes 2..%d", base.heap, last.heap, passes)
 	}
 
-	// The same passes on the single-process server are the authority for
-	// the documents and the edit count.
-	rl := memnet.Listen(64)
-	ref := collab.ServeDocs(rl, memShardInitial())
-	refClients, err := memShardDial(rl)
-	if err != nil {
-		memShardFail("reference dial: %v", err)
-	}
-	for pass := 0; pass < passes; pass++ {
-		if err := memShardPass(refClients, pass); err != nil {
-			memShardFail("reference: %v", err)
-		}
-	}
-	for _, c := range refClients {
-		if err := c.Bye(); err != nil {
-			memShardFail("reference bye: %v", err)
-		}
-	}
-	if err := ref.Shutdown(); err != nil {
-		memShardFail("reference shutdown: %v", err)
-	}
+	// Every step mutates twice (the delete always finds 8 runes at 64),
+	// and replaying the script on a plain string — with the server's
+	// clamp — yields each document.
 	ops := int64(passes) * memShardSessions * memShardPassOps
-	if s.Edits() != ops || ref.Edits() != ops {
-		memShardFail("edits: sharded %d, reference %d, want exactly %d", s.Edits(), ref.Edits(), ops)
+	if s.Edits() != ops {
+		memShardFail("edits: sharded %d, want exactly %d", s.Edits(), ops)
 	}
+	initial := memShardInitial()
 	for id := 0; id < memShardSessions; id++ {
-		got, _ := s.Document(memShardDoc(id))
-		want, _ := ref.Document(memShardDoc(id))
-		if got != want || len(got) != 64 {
+		want := initial[memShardDoc(id)]
+		for pass := 0; pass < passes; pass++ {
+			for j := 0; j < memShardPassOps; j += 2 {
+				want = memShardMarker(id, pass, j) + want
+				pos := min(64, len(want))
+				want = want[:pos] + want[pos+min(8, len(want)-pos):]
+			}
+		}
+		if got, _ := s.Document(memShardDoc(id)); got != want || len(got) != 64 {
 			memShardFail("document %s: sharded %q, reference %q", memShardDoc(id), got, want)
 		}
 	}
-	fmt.Printf("sharded: %d passes × %d ops = %d ops on 2 journaled shards, %d sessions; pass 2 → pass %d: watermark entries %d → %d, in-flight claims 0 → 0, retained root-log ops %d → %d, post-GC heap %.1f → %.1f MB; documents and edits equal the single-process reference\n",
+	fmt.Printf("sharded: %d passes × %d ops = %d ops on 2 journaled shards, %d sessions; pass 2 → pass %d: watermark entries %d → %d, in-flight claims 0 → 0, retained root-log ops %d → %d, post-GC heap %.1f → %.1f MB; documents and edits equal the closed-form reference\n",
 		passes, memShardSessions*memShardPassOps, ops, memShardSessions, passes,
 		base.state.Watermarks, last.state.Watermarks, base.state.RetainedOps, last.state.RetainedOps,
 		float64(base.heap)/(1<<20), float64(last.heap)/(1<<20))

@@ -194,7 +194,12 @@ func shardedDemo(shards, clients, edits int, seed int64) {
 func resilientDemo(clients, edits int, seed int64) {
 	fnet := faultnet.New(faultnet.Config{Seed: seed, DropProb: 0.05, ResetProb: 0.02})
 	listener := fnet.Listen(0, clients)
-	srv := collab.ServeWith(listener, "", collab.Options{Seed: seed})
+	srv, err := collab.ServeSharded(listener, map[string]string{"doc": ""}, collab.ShardedOptions{
+		Front: collab.Options{Seed: seed},
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
@@ -209,6 +214,9 @@ func resilientDemo(clients, edits int, seed int64) {
 				log.Fatalf("client %d: %v", c, err)
 			}
 			defer cl.Close()
+			if _, err := cl.Use("doc"); err != nil {
+				log.Fatalf("client %d: use: %v", c, err)
+			}
 			for i := 0; i < edits; i++ {
 				if i == edits/2 {
 					cl.Drop() // simulate a flaky client: kill the socket mid-script
@@ -223,12 +231,11 @@ func resilientDemo(clients, edits int, seed int64) {
 		}(c)
 	}
 	wg.Wait()
-	listener.Close()
-	if err := srv.Wait(); err != nil {
+	if err := srv.Shutdown(); err != nil {
 		log.Fatal(err)
 	}
 
-	doc := srv.Document()
+	doc, _ := srv.Document("doc")
 	fmt.Printf("final document (%d bytes, %d edits, canonical fingerprint %016x):\n  %s\n",
 		len(doc), srv.Edits(), collab.CanonicalFingerprint(doc), doc)
 	fmt.Printf("session counters: %s\n", srv.Stats())

@@ -8,8 +8,8 @@ import (
 )
 
 // Admission configures the front door's load-shedding gates. The zero
-// value admits everything (no session cap, no rate limit, no merge
-// backpressure) with default replay-window and idle-eviction bounds.
+// value admits everything (no session cap, no rate limit) with default
+// replay-window and idle-eviction bounds.
 //
 // All gates shed with explicit BUSY protocol replies carrying a
 // retry-after hint, instead of letting the accept queue collapse: a shed
@@ -19,12 +19,6 @@ type Admission struct {
 	// MaxSessions caps live sessions (attached + detached-but-resumable).
 	// A HELLO past the cap is shed with BUSY. Zero means unlimited.
 	MaxSessions int
-
-	// MaxPending caps merges in flight across all sessions: a mutating
-	// request arriving while MaxPending merges are mid-Sync is shed with
-	// BUSY, and GETs degrade to the connection task's local (possibly
-	// stale) copy instead of adding merge load. Zero means unlimited.
-	MaxPending int
 
 	// RateBurst is the per-session token-bucket capacity; RateEvery is how
 	// many logical ticks (server-wide processed requests) refill one
@@ -64,14 +58,14 @@ func (a Admission) retryMillis() int64 {
 	return ms
 }
 
-// Options configures a resilient server (ServeWith / ServeDocsWith).
+// Options configures the session front door (ShardedOptions.Front).
 type Options struct {
 	// Admission sets the load-shedding gates.
 	Admission Admission
 	// Seed drives the deterministic eviction jitter.
 	Seed int64
 	// Counters receives the front door's accounting (admitted, shed,
-	// resumed, replayed, evicted, busy_rate, busy_merges, degraded_get,
+	// resumed, replayed, evicted, busy_rate, busy_route,
 	// readonly_refused, ...). A fresh set is created when nil.
 	Counters *stats.Counters
 	// Tracer, when non-nil, receives session spans (hello/resume/evict)

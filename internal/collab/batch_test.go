@@ -15,8 +15,8 @@ import (
 // else starts a new queued op.
 func TestQueueCoalescesRuns(t *testing.T) {
 	l := memnet.Listen(16)
-	s := Serve(l, "0123456789")
-	c, err := DialWith(l, testClientOpts())
+	s := serveDoc(t, l, "0123456789", Options{})
+	c, err := dialDoc(l, testClientOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,8 +57,7 @@ func TestQueueCoalescesRuns(t *testing.T) {
 	if err := c.Bye(); err != nil {
 		t.Fatal(err)
 	}
-	l.Close()
-	if err := s.Wait(); err != nil {
+	if err := s.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -68,8 +67,8 @@ func TestQueueCoalescesRuns(t *testing.T) {
 // lands mid-character.
 func TestQueueCoalescingIsRuneAware(t *testing.T) {
 	l := memnet.Listen(16)
-	s := Serve(l, "")
-	c, err := DialWith(l, testClientOpts())
+	s := serveDoc(t, l, "", Options{})
+	c, err := dialDoc(l, testClientOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,8 +90,7 @@ func TestQueueCoalescingIsRuneAware(t *testing.T) {
 	if err := c.Bye(); err != nil {
 		t.Fatal(err)
 	}
-	l.Close()
-	if err := s.Wait(); err != nil {
+	if err := s.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -101,8 +99,8 @@ func TestQueueCoalescingIsRuneAware(t *testing.T) {
 // first, so queued edits are never reordered around direct ones.
 func TestFlushOnSync(t *testing.T) {
 	l := memnet.Listen(16)
-	s := Serve(l, "")
-	c, err := DialWith(l, testClientOpts())
+	s := serveDoc(t, l, "", Options{})
+	c, err := dialDoc(l, testClientOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,8 +118,7 @@ func TestFlushOnSync(t *testing.T) {
 	if err := c.Bye(); err != nil {
 		t.Fatal(err)
 	}
-	l.Close()
-	if err := s.Wait(); err != nil {
+	if err := s.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -134,8 +131,8 @@ func TestFlushOnSync(t *testing.T) {
 // cannot dedup — a double apply.
 func TestFlushDropsResolvedRefusals(t *testing.T) {
 	l := memnet.Listen(16)
-	s := Serve(l, "")
-	c, err := DialWith(l, testClientOpts())
+	s := serveDoc(t, l, "", Options{})
+	c, err := dialDoc(l, testClientOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,8 +168,7 @@ func TestFlushDropsResolvedRefusals(t *testing.T) {
 	if err := c.Bye(); err != nil {
 		t.Fatalf("bye after refused flush: %v", err)
 	}
-	l.Close()
-	if err := s.Wait(); err != nil {
+	if err := s.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -185,8 +181,8 @@ func TestFlushDropsResolvedRefusals(t *testing.T) {
 func TestBatchChunksToReplayWindow(t *testing.T) {
 	const ops = 20 // > 2x the default window of 8
 	l := memnet.Listen(16)
-	s := Serve(l, "")
-	c, err := DialWith(l, testClientOpts())
+	s := serveDoc(t, l, "", Options{})
+	c, err := dialDoc(l, testClientOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,46 +196,14 @@ func TestBatchChunksToReplayWindow(t *testing.T) {
 	if err := c.Bye(); err != nil {
 		t.Fatal(err)
 	}
-	l.Close()
-	if err := s.Wait(); err != nil {
-		t.Fatal(err)
-	}
+	doc := finalDoc(t, s, "doc")
 	for i := 0; i < ops; i++ {
 		marker := fmt.Sprintf("op%d;", i)
-		if n := strings.Count(s.Document(), marker); n != 1 {
+		if n := strings.Count(doc, marker); n != 1 {
 			t.Errorf("marker %q appears %d times, want 1", marker, n)
 		}
 	}
 	if frames := s.Stats().Get("frames"); frames < 3 {
 		t.Errorf("server saw %d batch frames, want >= 3 (40 ops / window 8)", frames)
-	}
-}
-
-// TestBatchedMatchesUnbatchedOnMultiServer runs the batched workload
-// against a plain MultiServer (no applyBatch hook: the front falls back
-// to per-op apply inside one frame) and demands the same fingerprints as
-// the unbatched reference — the framing layer must be invisible to
-// document state on every server flavor, not just the sharded router.
-func TestBatchedMatchesUnbatchedOnMultiServer(t *testing.T) {
-	const clients, edits = 6, 8
-	want := referenceFingerprints(t, clients, edits)
-
-	l := memnet.Listen(64)
-	s := ServeDocs(l, initialOf(shardedDocs))
-	shardedWorkload(t, l, clients, edits, testClientOpts(), 3)
-	if err := s.Shutdown(); err != nil {
-		t.Fatalf("shutdown: %v", err)
-	}
-	for _, name := range shardedDocs {
-		doc, ok := s.Document(name)
-		if !ok {
-			t.Fatalf("lost document %q", name)
-		}
-		if got := CanonicalFingerprint(doc); got != want[name] {
-			t.Errorf("document %q fingerprint %016x != reference %016x", name, got, want[name])
-		}
-	}
-	if got := s.Stats().Get("frames"); got == 0 {
-		t.Error("no batch frames reached the MultiServer front")
 	}
 }

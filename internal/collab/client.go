@@ -220,9 +220,8 @@ func (c *Client) handshakeLocked(req string) (net.Conn, *lineReader, string, err
 	return conn, r, line, nil
 }
 
-// serverError is a terminal server-side failure (ERR INTERNAL): the
-// request did not resolve and retrying cannot help, because the server's
-// own merge machinery failed.
+// serverError is an acked ERR of a category this client does not know:
+// the request resolved server-side, so retrying cannot help.
 type serverError struct{ detail string }
 
 func (e *serverError) Error() string { return "collab: server: " + e.detail }
@@ -389,19 +388,19 @@ func (c *Client) Delete(pos, n int) (string, error) {
 	return c.roundtrip("DEL %d %d", pos, n)
 }
 
-// Get fetches the current document (possibly one exchange stale when the
-// server is shedding merge load).
+// Get fetches the current document.
 func (c *Client) Get() (string, error) {
 	return c.roundtrip("GET")
 }
 
-// Use selects the named document on a multi-document server and returns
-// its content. The selection is session state: it survives reconnects.
+// Use selects the named document and returns its content. Document ops
+// need a selection first. The selection is session state: it survives
+// reconnects and RESUME, not NewSession.
 func (c *Client) Use(name string) (string, error) {
 	return c.roundtrip("USE %s", name)
 }
 
-// List returns the comma-joined document names hosted by a MultiServer.
+// List returns the comma-joined names of the hosted documents.
 func (c *Client) List() (string, error) {
 	return c.roundtrip("LIST")
 }

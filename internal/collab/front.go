@@ -12,17 +12,17 @@ import (
 	"repro/internal/stats"
 )
 
-// The session wire grammar, layered over the legacy command set (see
-// DESIGN.md §13). A connection's first line selects the mode:
+// The session wire grammar (see DESIGN.md §13). A connection's first
+// line opens or re-attaches a session:
 //
 //	HELLO                      → OK <sid>               new session
 //	                           → BUSY <retry-ms>        admission shed, connection closed
 //	RESUME <sid> <client-seq>  → OK <sid> <acked-seq>   session re-attached
 //	                           → ERR SESSION-EXPIRED <sid>
 //	                           → BUSY <retry-ms>
-//	anything else              → served sessionless (legacy mode, no resume)
+//	anything else              → ERR ... session-only, connection closed
 //
-// Session-mode requests carry a client-chosen monotone sequence number:
+// Requests carry a client-chosen monotone sequence number:
 //
 //	<seq> INS <pos> <quoted-text> | <seq> DEL <pos> <n> | <seq> GET |
 //	<seq> BYE | <seq> USE <name>  | <seq> LIST
@@ -32,8 +32,7 @@ import (
 //	OK <seq> <payload>          applied (or replayed from the window)
 //	ERR <seq> PROTOCOL <why>    request-level error; acked and replayable
 //	ERR <seq> READONLY <why>    mutation refused: draining/degraded
-//	ERR <seq> INTERNAL <why>    server-side merge failure (terminal)
-//	BUSY <seq> <retry-ms>       shed by rate limit or merge backpressure;
+//	BUSY <seq> <retry-ms>       shed by rate limit or an unreachable shard;
 //	                            NOT acked — retry the same seq
 //	GONE <seq>                  seq fell outside the replay window;
 //	                            exactly-once lost, session unusable
@@ -41,7 +40,6 @@ type front struct {
 	adm      Admission
 	table    *sessionTable
 	counters *stats.Counters
-	pending  atomic.Int64 // merges currently in flight
 	draining atomic.Bool
 }
 
@@ -53,22 +51,21 @@ func newFront(opts Options) *front {
 	}
 }
 
-// sessionOutcome is one applied request, produced by a server-specific
-// apply callback. payload renders the OK reply's argument and runs after
-// the request's merge, so it always reflects the post-merge state.
+// sessionOutcome is one applied request, produced by the router's apply
+// callback. payload renders the OK reply's argument: the post-merge
+// document the shard returned, or router-side state for USE/LIST/BYE.
 type sessionOutcome struct {
 	status  string // "OK", or an "ERR <detail>" protocol error
 	payload func() string
 	mutated bool
 	quit    bool
-	noSync  bool // USE/LIST answer from session state; no merge needed
 	shed    bool // could not be applied now (e.g. shard unreachable):
 	//              reply BUSY, do NOT ack — the client retries the seq
 }
 
-// sessionHandler binds the front door to one connection task: apply
-// executes a command against the task's data copies, sync merges them
-// into the root, onMutate accounts an applied edit. applyBatch, when
+// sessionHandler binds the front door to the router: apply executes a
+// command (forwarding document ops to their shard, which merges them
+// before it replies), onMutate accounts an applied edit. applyBatch, when
 // set, handles a whole frame of already-admitted commands at once (the
 // sharded router groups them into wire batches); it must return one
 // outcome per command and, once an outcome sheds, shed every later one
@@ -76,31 +73,28 @@ type sessionOutcome struct {
 type sessionHandler struct {
 	apply      func(sess *Session, seq uint64, cmd string) sessionOutcome
 	applyBatch func(sess *Session, seqs []uint64, cmds []string) []sessionOutcome
-	sync       func() error
 	onMutate   func()
 }
 
-// isHandshake reports whether a connection's first line enters session
-// mode.
+// isHandshake reports whether a connection's first line opens or
+// resumes a session.
 func isHandshake(line string) bool {
 	return line == "HELLO" || strings.HasPrefix(line, "RESUME ")
 }
 
-// isMutation classifies a session-mode command as document-mutating for
-// the drain gate and merge backpressure. Clamped no-op deletes still
+// isMutation classifies a command as document-mutating for the drain
+// gate, retry identities and wire batching. Clamped no-op deletes still
 // count: the gate prices the attempt, not the outcome.
 func isMutation(cmd string) bool {
 	return strings.HasPrefix(cmd, "INS ") || strings.HasPrefix(cmd, "DEL ")
 }
 
-// serve runs the session-mode protocol on one connection, from the
-// handshake line to detach. It always returns nil for transport-level
-// endings (the client can resume); only a failed merge — a runtime
-// error — propagates.
-func (f *front) serve(socket net.Conn, r *bufio.Reader, first string, h sessionHandler) error {
+// serve runs the session protocol on one connection, from the handshake
+// line to detach. Transport-level endings leave the session resumable.
+func (f *front) serve(socket net.Conn, r *bufio.Reader, first string, h sessionHandler) {
 	sess, ok := f.handshake(socket, first)
 	if !ok {
-		return nil // shed or expired; reply already written, connection closes
+		return // shed or expired; reply already written, connection closes
 	}
 	defer func() {
 		if sess.detachConn(socket, f.table.tick()) {
@@ -114,18 +108,14 @@ func (f *front) serve(socket net.Conn, r *bufio.Reader, first string, h sessionH
 			// Transport gone — or a damaged batch frame, which we treat
 			// the same way: the client re-sends on a fresh connection and
 			// the replay window deduplicates.
-			return nil
+			return
 		}
 		if isFrame {
 			f.counters.Inc("frames")
-			quit, err := f.requestFrame(socket, sess, lines, h)
-			if err != nil {
-				return err
-			}
-			if quit {
+			if f.requestFrame(socket, sess, lines, h) {
 				f.table.remove(sess)
 				f.counters.Inc("closed")
-				return nil
+				return
 			}
 			continue
 		}
@@ -140,14 +130,10 @@ func (f *front) serve(socket net.Conn, r *bufio.Reader, first string, h sessionH
 			fmt.Fprintf(socket, "ERR 0 PROTOCOL numbered request expected, got %q\n", line)
 			continue
 		}
-		quit, err := f.request(socket, sess, seq, cmd, h)
-		if err != nil {
-			return err
-		}
-		if quit {
+		if f.request(socket, sess, seq, cmd, h) {
 			f.table.remove(sess)
 			f.counters.Inc("closed")
-			return nil
+			return
 		}
 	}
 }
@@ -188,11 +174,11 @@ func (f *front) handshake(socket net.Conn, first string) (*Session, bool) {
 }
 
 // request processes one numbered request under the session's processing
-// lock: the seq check, the apply, the merge and the ack are atomic with
-// respect to a racing resumed connection re-sending the same request, so
-// every seq is applied exactly once no matter how many transports carried
-// it.
-func (f *front) request(socket net.Conn, sess *Session, seq uint64, cmd string, h sessionHandler) (quit bool, err error) {
+// lock: the seq check, the apply and the ack are atomic with respect to a
+// racing resumed connection re-sending the same request, so every seq is
+// applied exactly once no matter how many transports carried it. It
+// reports whether the request ended the session.
+func (f *front) request(socket net.Conn, sess *Session, seq uint64, cmd string, h sessionHandler) (quit bool) {
 	tick := f.table.tick()
 	sess.proc.Lock()
 	defer sess.proc.Unlock()
@@ -201,7 +187,7 @@ func (f *front) request(socket net.Conn, sess *Session, seq uint64, cmd string, 
 		// re-sends on the new transport; applying here would spend backend
 		// work (and, sharded, forwarding retries) on a dead socket.
 		f.counters.Inc("stale_conn")
-		return false, nil
+		return false
 	}
 
 	switch last := sess.acked(); {
@@ -215,32 +201,25 @@ func (f *front) request(socket net.Conn, sess *Session, seq uint64, cmd string, 
 			f.counters.Inc("window_miss")
 			fmt.Fprintf(socket, "GONE %d\n", seq)
 		}
-		return false, nil
+		return false
 	case seq != last+1:
 		f.counters.Inc("bad_request")
 		fmt.Fprintf(socket, "ERR %d PROTOCOL sequence gap (want %d)\n", seq, last+1)
-		return false, nil
+		return false
 	}
 
-	mutating := isMutation(cmd)
-	if mutating && f.draining.Load() {
+	if isMutation(cmd) && f.draining.Load() {
 		// Graceful degradation: reads flow, mutations get a typed reason.
 		f.counters.Inc("readonly_refused")
 		reply := fmt.Sprintf("ERR %d READONLY draining", seq)
 		sess.ack(seq, reply, f.adm.WindowSize)
 		fmt.Fprintln(socket, reply)
-		return false, nil
+		return false
 	}
 	if !sess.takeToken(tick, f.adm) {
 		f.counters.Inc("busy_rate")
 		fmt.Fprintf(socket, "BUSY %d %d\n", seq, f.adm.retryMillis())
-		return false, nil
-	}
-	overloaded := f.adm.MaxPending > 0 && f.pending.Load() >= int64(f.adm.MaxPending)
-	if mutating && overloaded {
-		f.counters.Inc("busy_merges")
-		fmt.Fprintf(socket, "BUSY %d %d\n", seq, f.adm.retryMillis())
-		return false, nil
+		return false
 	}
 
 	out := h.apply(sess, seq, cmd)
@@ -249,25 +228,10 @@ func (f *front) request(socket net.Conn, sess *Session, seq uint64, cmd string, 
 		// in flight): shed without acking so the retry lands cleanly.
 		f.counters.Inc("busy_route")
 		fmt.Fprintf(socket, "BUSY %d %d\n", seq, f.adm.retryMillis())
-		return false, nil
+		return false
 	}
 	if out.mutated {
 		h.onMutate()
-	}
-	degraded := overloaded && !out.mutated && strings.HasPrefix(cmd, "GET")
-	if degraded {
-		// Under merge backpressure a GET answers from the connection
-		// task's local copy — possibly one exchange stale — instead of
-		// joining the merge queue.
-		f.counters.Inc("degraded_get")
-	} else if !out.noSync {
-		f.pending.Add(1)
-		err := h.sync()
-		f.pending.Add(-1)
-		if err != nil {
-			fmt.Fprintf(socket, "ERR %d INTERNAL %v\n", seq, err)
-			return false, err
-		}
 	}
 	var reply string
 	if out.status == "OK" {
@@ -277,19 +241,19 @@ func (f *front) request(socket net.Conn, sess *Session, seq uint64, cmd string, 
 	}
 	sess.ack(seq, reply, f.adm.WindowSize)
 	fmt.Fprintln(socket, reply)
-	return out.quit, nil
+	return out.quit
 }
 
 // requestFrame processes one batch frame of numbered requests under the
 // session's processing lock. Admission runs per request in frame order
-// against a virtual acked frontier; every admitted command is applied,
-// the whole frame merges once (the batching win), and acks are recorded
-// strictly in sequence order. The invariant that makes this safe is the
+// against a virtual acked frontier; every admitted command is applied
+// (applyBatch groups them into one shard merge per run — the batching
+// win), and acks are recorded strictly in sequence order. The invariant that makes this safe is the
 // same one request() keeps: a seq is acked only when every earlier seq
 // is acked, so once one request is shed (BUSY) or refused without an
 // ack, everything after it in the frame is shed too — even if a backend
 // already applied it, the retry resolves by replay.
-func (f *front) requestFrame(socket net.Conn, sess *Session, frame []string, h sessionHandler) (quit bool, err error) {
+func (f *front) requestFrame(socket net.Conn, sess *Session, frame []string, h sessionHandler) (quit bool) {
 	sess.proc.Lock()
 	defer sess.proc.Unlock()
 	if !sess.current(socket) {
@@ -298,7 +262,7 @@ func (f *front) requestFrame(socket net.Conn, sess *Session, frame []string, h s
 		// release it immediately or the live connection starves behind
 		// forwarding retries done on behalf of sockets nobody reads.
 		f.counters.Inc("stale_conn")
-		return false, nil
+		return false
 	}
 
 	type item struct {
@@ -337,28 +301,20 @@ func (f *front) requestFrame(socket net.Conn, sess *Session, frame []string, h s
 		case seq != frontier+1:
 			f.counters.Inc("bad_request")
 			it.reply = fmt.Sprintf("ERR %d PROTOCOL sequence gap (want %d)", seq, frontier+1)
+		case isMutation(cmd) && f.draining.Load():
+			f.counters.Inc("readonly_refused")
+			it.reply = fmt.Sprintf("ERR %d READONLY draining", seq)
+			it.ackable = true
+			frontier++
+		case !sess.takeToken(tick, f.adm):
+			f.counters.Inc("busy_rate")
+			it.reply = fmt.Sprintf("BUSY %d %d", seq, f.adm.retryMillis())
+			blocked = true
 		default:
-			mutating := isMutation(cmd)
-			switch {
-			case mutating && f.draining.Load():
-				f.counters.Inc("readonly_refused")
-				it.reply = fmt.Sprintf("ERR %d READONLY draining", seq)
-				it.ackable = true
-				frontier++
-			case !sess.takeToken(tick, f.adm):
-				f.counters.Inc("busy_rate")
-				it.reply = fmt.Sprintf("BUSY %d %d", seq, f.adm.retryMillis())
-				blocked = true
-			case mutating && f.adm.MaxPending > 0 && f.pending.Load() >= int64(f.adm.MaxPending):
-				f.counters.Inc("busy_merges")
-				it.reply = fmt.Sprintf("BUSY %d %d", seq, f.adm.retryMillis())
-				blocked = true
-			default:
-				it.applyAt = len(cmds)
-				seqs = append(seqs, seq)
-				cmds = append(cmds, cmd)
-				frontier++
-			}
+			it.applyAt = len(cmds)
+			seqs = append(seqs, seq)
+			cmds = append(cmds, cmd)
+			frontier++
 		}
 		items = append(items, it)
 	}
@@ -373,25 +329,9 @@ func (f *front) requestFrame(socket net.Conn, sess *Session, frame []string, h s
 				outs[i] = h.apply(sess, seqs[i], cmds[i])
 			}
 		}
-		needSync := false
 		for _, out := range outs {
-			if out.shed {
-				continue
-			}
-			if out.mutated {
+			if !out.shed && out.mutated {
 				h.onMutate()
-			}
-			if !out.noSync {
-				needSync = true
-			}
-		}
-		if needSync {
-			f.pending.Add(1)
-			err := h.sync()
-			f.pending.Add(-1)
-			if err != nil {
-				fmt.Fprintf(socket, "ERR %d INTERNAL %v\n", seqs[0], err)
-				return false, err
 			}
 		}
 	}
@@ -432,7 +372,7 @@ func (f *front) requestFrame(socket net.Conn, sess *Session, frame []string, h s
 		buf = append(buf, '\n')
 	}
 	socket.Write(buf)
-	return quit, nil
+	return quit
 }
 
 // drain flips the server read-only: GETs are served, mutations refused

@@ -50,9 +50,8 @@ type Session struct {
 	lastAcked uint64
 	window    []ackedReply
 
-	// docIdx is per-session state for the multi-document server: the USE
-	// selection survives reconnects because it lives here, not in the
-	// connection task.
+	// docIdx is the session's USE selection (-1 before the first USE). It
+	// survives reconnects because it lives here, not on the connection.
 	docIdx int
 
 	detached   bool

@@ -49,8 +49,8 @@ var editScript = []func(c *Client) (string, error){
 func runEditScript(t *testing.T, dropAfter int) (string, int64, int64) {
 	t.Helper()
 	l := memnet.Listen(16)
-	s := Serve(l, "")
-	c, err := DialWith(l, testClientOpts())
+	s := serveDoc(t, l, "", Options{})
+	c, err := dialDoc(l, testClientOpts())
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
@@ -68,11 +68,7 @@ func runEditScript(t *testing.T, dropAfter int) (string, int64, int64) {
 	if err := c.Bye(); err != nil {
 		t.Fatalf("drop-after-%d: bye: %v", dropAfter, err)
 	}
-	l.Close()
-	if err := s.Wait(); err != nil {
-		t.Fatalf("drop-after-%d: server: %v", dropAfter, err)
-	}
-	return s.Document(), s.Edits(), s.Stats().Get("resumed")
+	return finalDoc(t, s, "doc"), s.Edits(), s.Stats().Get("resumed")
 }
 
 // TestResumeAtEveryBoundary kills the socket after each acked reply in
@@ -108,8 +104,8 @@ func TestResumeAtEveryBoundary(t *testing.T) {
 // instead of applying the edit twice.
 func TestReplayDedup(t *testing.T) {
 	l := memnet.Listen(16)
-	s := Serve(l, "")
-	c, err := DialWith(l, testClientOpts())
+	s := serveDoc(t, l, "", Options{})
+	c, err := dialDoc(l, testClientOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,12 +120,7 @@ func TestReplayDedup(t *testing.T) {
 	// that would race the steal — the old serve loop abandons requests
 	// once its socket is no longer the session's attachment, and the
 	// re-send would then apply fresh instead of exercising replay.
-	for i := 0; s.Stats().Get("detached") == 0; i++ {
-		if i > 1000 {
-			t.Fatal("old attachment never detached")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitCounter(t, s.Stats().Get, "detached", 1)
 	if err := c.Reconnect(); err != nil {
 		t.Fatalf("resume: %v", err)
 	}
@@ -143,12 +134,8 @@ func TestReplayDedup(t *testing.T) {
 	if err := c.Bye(); err != nil {
 		t.Fatal(err)
 	}
-	l.Close()
-	if err := s.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Document() != "x" {
-		t.Fatalf("final doc = %q, edit applied twice or lost", s.Document())
+	if got := finalDoc(t, s, "doc"); got != "x" {
+		t.Fatalf("final doc = %q, edit applied twice or lost", got)
 	}
 	if s.Edits() != 1 {
 		t.Fatalf("edits = %d, want exactly 1", s.Edits())
@@ -164,11 +151,11 @@ func TestReplayDedup(t *testing.T) {
 // ErrSessionExpired; a fresh session recovers the client.
 func TestDeterministicEviction(t *testing.T) {
 	l := memnet.Listen(16)
-	s := ServeWith(l, "", Options{
+	s := serveDoc(t, l, "", Options{
 		Seed:      7,
 		Admission: Admission{IdleTicks: 3, IdleJitter: 2},
 	})
-	a, err := DialWith(l, testClientOpts())
+	a, err := dialDoc(l, testClientOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +165,7 @@ func TestDeterministicEviction(t *testing.T) {
 	a.Drop() // detach; the idle clock starts ticking with b's traffic
 	waitCounter(t, s.Stats().Get, "detached", 1)
 
-	b, err := DialWith(l, testClientOpts())
+	b, err := dialDoc(l, testClientOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,6 +180,12 @@ func TestDeterministicEviction(t *testing.T) {
 	if err := a.NewSession(); err != nil {
 		t.Fatalf("new session after eviction: %v", err)
 	}
+	if _, err := a.Insert(0, "a2;"); err == nil {
+		t.Fatal("the USE selection outlived its session")
+	}
+	if _, err := a.Use("doc"); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := a.Insert(0, "a2;"); err != nil {
 		t.Fatal(err)
 	}
@@ -202,14 +195,11 @@ func TestDeterministicEviction(t *testing.T) {
 	if err := b.Bye(); err != nil {
 		t.Fatal(err)
 	}
-	l.Close()
-	if err := s.Wait(); err != nil {
-		t.Fatal(err)
-	}
+	doc := finalDoc(t, s, "doc")
 	if got := s.Stats().Get("evicted"); got < 1 {
 		t.Fatalf("evicted = %d, want >= 1", got)
 	}
-	if doc := s.Document(); doc != "a2;a;" && doc != "a;a2;" {
+	if doc != "a2;a;" && doc != "a;a2;" {
 		t.Fatalf("doc = %q", doc)
 	}
 }
@@ -218,8 +208,8 @@ func TestDeterministicEviction(t *testing.T) {
 // reason while still serving reads, and Shutdown flushes live sessions.
 func TestDrainReadOnly(t *testing.T) {
 	l := memnet.Listen(16)
-	s := Serve(l, "base")
-	c, err := DialWith(l, testClientOpts())
+	s := serveDoc(t, l, "base", Options{})
+	c, err := dialDoc(l, testClientOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,10 +231,7 @@ func TestDrainReadOnly(t *testing.T) {
 	if _, err := c.Insert(0, "z"); err != nil {
 		t.Fatalf("mutation after undrain: %v", err)
 	}
-	if err := s.Shutdown(); err != nil {
-		t.Fatalf("shutdown: %v", err)
-	}
-	if got := s.Document(); got != "zxbase" {
+	if got := finalDoc(t, s, "doc"); got != "zxbase" {
 		t.Fatalf("final doc = %q", got)
 	}
 	if s.Stats().Get("readonly_refused") != 1 {
@@ -261,8 +248,8 @@ func TestDrainReadOnly(t *testing.T) {
 // errors.Is, mirroring dist's error style.
 func TestErrorTaxonomy(t *testing.T) {
 	l := memnet.Listen(16)
-	s := ServeWith(l, "", Options{Admission: Admission{MaxSessions: 1}})
-	c, err := DialWith(l, testClientOpts())
+	s := serveDoc(t, l, "", Options{Admission: Admission{MaxSessions: 1}})
+	c, err := dialDoc(l, testClientOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,20 +281,19 @@ func TestErrorTaxonomy(t *testing.T) {
 	if err := c.Bye(); err != nil {
 		t.Fatal(err)
 	}
-	l.Close()
-	if err := s.Wait(); err != nil {
+	if err := s.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestRateLimitOverload exhausts a tiny token bucket; the client's
-// bounded retries surface ErrOverloaded, and a patient client completes.
+// TestRateLimitOverload exhausts a tiny token bucket (two tokens: the
+// USE and one edit); the client's bounded retries surface ErrOverloaded.
 func TestRateLimitOverload(t *testing.T) {
 	l := memnet.Listen(16)
-	s := ServeWith(l, "", Options{
-		Admission: Admission{RateBurst: 1, RateEvery: 1000},
+	s := serveDoc(t, l, "", Options{
+		Admission: Admission{RateBurst: 2, RateEvery: 1000},
 	})
-	c, err := DialWith(l, ClientOptions{
+	c, err := dialDoc(l, ClientOptions{
 		RequestTimeout: time.Second,
 		Backoff:        Backoff{Base: time.Millisecond, Cap: time.Millisecond, MaxAttempts: 2},
 	})
@@ -324,12 +310,8 @@ func TestRateLimitOverload(t *testing.T) {
 		t.Fatalf("busy_rate = %d, want >= 1", s.Stats().Get("busy_rate"))
 	}
 	c.Close()
-	l.Close()
-	if err := s.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Document() != "x" {
-		t.Fatalf("doc = %q: a shed request must not half-apply", s.Document())
+	if got := finalDoc(t, s, "doc"); got != "x" {
+		t.Fatalf("doc = %q: a shed request must not half-apply", got)
 	}
 }
 
@@ -337,7 +319,10 @@ func TestRateLimitOverload(t *testing.T) {
 // state, so a reconnected client keeps editing the same document.
 func TestMultiDocSelectionSurvivesResume(t *testing.T) {
 	l := memnet.Listen(16)
-	s := ServeDocs(l, map[string]string{"notes": "", "todo": ""})
+	s, err := ServeSharded(l, map[string]string{"notes": "", "todo": ""}, ShardedOptions{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	c, err := DialWith(l, testClientOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -357,12 +342,7 @@ func TestMultiDocSelectionSurvivesResume(t *testing.T) {
 	if err := c.Bye(); err != nil {
 		t.Fatal(err)
 	}
-	l.Close()
-	if err := s.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	notes, _ := s.Document("notes")
-	if notes != "after;before;" {
+	if notes := finalDoc(t, s, "notes"); notes != "after;before;" {
 		t.Fatalf("notes = %q", notes)
 	}
 	if todo, _ := s.Document("todo"); todo != "" {

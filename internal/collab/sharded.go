@@ -1,3 +1,25 @@
+// Package collab is a collaborative text-editing service built on Spawn
+// & Merge — operational transformation's home domain (the paper adopts OT
+// from CSCW research on "concurrent editors of a document"). Every caller
+// talks to one server, ShardedServer: a routing front that speaks the
+// session protocol to clients (front.go, DESIGN.md §13) and forwards each
+// document op to the shard owning that document. Each shard runs the
+// paper's own server architecture (Listing 3, see shardhost.go): an
+// accept task blocks on incoming connections and Clones a sibling per
+// router pipe; every connection task edits its own copy of the documents
+// and merges through Sync after each batch; the root merges
+// first-completed-first with MergeAny.
+//
+// Concurrent edits from different clients are reconciled by the OT merge
+// exactly as in a classic collaborative editor: no locks, no rejected
+// edits, every client converges onto the same document. One shard is the
+// single-process configuration; more shards only spread documents, since
+// each document still has a single ordering point.
+//
+// The front door gives server-issued sessions with a bounded replay
+// window (exactly-once request processing across reconnects), an
+// admission gate that sheds overload with explicit BUSY replies, and a
+// drain mode that degrades to read-only instead of going dark.
 package collab
 
 import (
@@ -21,6 +43,14 @@ import (
 	"repro/internal/stats"
 )
 
+// Listener is the accept side of a transport; *memnet.Listener and
+// *faultnet.Listener both satisfy it, so the same server runs hermetic
+// and under injected chaos.
+type Listener interface {
+	Accept() (net.Conn, error)
+	Close() error
+}
+
 // ListenDialer is a transport endpoint usable from both sides: the shard
 // host accepts on it, the router dials it. memnet and faultnet listeners
 // both qualify, so the internal shard fabric runs hermetic or under
@@ -33,7 +63,7 @@ type ListenDialer interface {
 // ShardedOptions configures a sharded document service.
 type ShardedOptions struct {
 	// Front configures the public session front door (admission, seed,
-	// counters, tracer) exactly as for ServeDocsWith.
+	// counters, tracer).
 	Front Options
 	// Shards is the initial shard count (ids 0..Shards-1). Default 1.
 	Shards int
@@ -250,15 +280,14 @@ func (s *ShardedServer) serveConn(socket net.Conn) {
 	}
 	first = strings.TrimSpace(first)
 	if !isHandshake(first) {
-		// The sharded front is session-only: exactly-once forwarding
-		// leans on session retry identities, which legacy mode lacks.
+		// The front is session-only: exactly-once forwarding leans on
+		// session retry identities, which a sessionless client lacks.
 		s.counters.Inc("legacy_refused")
 		fmt.Fprintf(socket, "ERR sharded service is session-only; start with HELLO\n")
 		return
 	}
 	h := sessionHandler{
 		apply:    s.applySharded,
-		sync:     func() error { return nil }, // merges happen shard-side
 		onMutate: func() { s.counters.Inc("routed_edits") },
 	}
 	if !s.opts.NoBatch {
@@ -292,28 +321,27 @@ func (s *ShardedServer) applySharded(sess *Session, seq uint64, cmd string) sess
 	if name, ok := strings.CutPrefix(cmd, "USE "); ok {
 		idx := s.docIndexOf(strings.TrimSpace(name))
 		if idx < 0 {
-			return sessionOutcome{status: fmt.Sprintf("ERR no document %q", name), noSync: true}
+			return sessionOutcome{status: fmt.Sprintf("ERR no document %q", name)}
 		}
 		sess.setDocIdx(idx)
 		payload, err := s.forward(sess, "-", idx, "GET")
 		if err != nil {
 			return s.classifyForward(err)
 		}
-		return sessionOutcome{status: "OK", payload: func() string { return payload }, noSync: true}
+		return sessionOutcome{status: "OK", payload: func() string { return payload }}
 	}
 	if cmd == "LIST" {
 		return sessionOutcome{
 			status:  "OK",
 			payload: func() string { return strconv.Quote(strings.Join(s.names, ",")) },
-			noSync:  true,
 		}
 	}
 	if cmd == "BYE" {
-		return sessionOutcome{status: "OK", payload: func() string { return strconv.Quote("") }, quit: true, noSync: true}
+		return sessionOutcome{status: "OK", payload: func() string { return strconv.Quote("") }, quit: true}
 	}
 	idx := sess.getDocIdx()
 	if idx < 0 {
-		return sessionOutcome{status: "ERR select a document with USE first", noSync: true}
+		return sessionOutcome{status: "ERR select a document with USE first"}
 	}
 	rid := "-"
 	mutation := isMutation(cmd)
@@ -324,7 +352,7 @@ func (s *ShardedServer) applySharded(sess *Session, seq uint64, cmd string) sess
 	if err != nil {
 		return s.classifyForward(err)
 	}
-	return sessionOutcome{status: "OK", payload: func() string { return payload }, mutated: mutation, noSync: true}
+	return sessionOutcome{status: "OK", payload: func() string { return payload }, mutated: mutation}
 }
 
 // applyShardedBatch routes a frame of admitted commands, grouping runs
@@ -352,7 +380,7 @@ func (s *ShardedServer) applyShardedBatch(sess *Session, seqs []uint64, cmds []s
 		}
 		idx := sess.getDocIdx()
 		if idx < 0 {
-			outs[i] = sessionOutcome{status: "ERR select a document with USE first", noSync: true}
+			outs[i] = sessionOutcome{status: "ERR select a document with USE first"}
 			i++
 			continue
 		}
@@ -373,7 +401,7 @@ func (s *ShardedServer) applyShardedBatch(sess *Session, seqs []uint64, cmds []s
 func (s *ShardedServer) classifyForward(err error) sessionOutcome {
 	var applyErr *shardApplyError
 	if errors.As(err, &applyErr) {
-		return sessionOutcome{status: "ERR " + applyErr.detail, noSync: true}
+		return sessionOutcome{status: "ERR " + applyErr.detail}
 	}
 	return sessionOutcome{shed: true}
 }
@@ -476,12 +504,12 @@ func (s *ShardedServer) forwardRun(sess *Session, seqs []uint64, cmds []string, 
 			payload, cerr := s.classifyReply(id, reply)
 			if cerr == nil {
 				payload := payload
-				outs[i] = sessionOutcome{status: "OK", payload: func() string { return payload }, mutated: true, noSync: true}
+				outs[i] = sessionOutcome{status: "OK", payload: func() string { return payload }, mutated: true}
 				continue
 			}
 			var applyErr *shardApplyError
 			if errors.As(cerr, &applyErr) {
-				outs[i] = sessionOutcome{status: "ERR " + applyErr.detail, noSync: true}
+				outs[i] = sessionOutcome{status: "ERR " + applyErr.detail}
 				continue
 			}
 			s.countForwardError(cerr)
@@ -991,7 +1019,7 @@ func replayShardLog(path string) (contents map[string]string, marks map[string]u
 			if !ok {
 				return nil, nil, 0, 0, fmt.Errorf("op record %q carries a bad rid", line)
 			}
-			if status, _, _ := applyRequest(doc, cmd); strings.HasPrefix(status, "ERR") {
+			if status, _ := applyRequest(doc, cmd); strings.HasPrefix(status, "ERR") {
 				return nil, nil, 0, 0, fmt.Errorf("op record %q does not replay: %s", line, status)
 			}
 			marks[prefix] = max(marks[prefix], seq)

@@ -98,24 +98,18 @@ func checkShardedExactlyOnce(t *testing.T, finals map[string]string, clients, ed
 	}
 }
 
-// referenceFingerprints runs the same workload against a single-process
-// MultiServer and returns the canonical per-document fingerprints — the
-// ground truth every sharded topology must reproduce bit-identically.
-func referenceFingerprints(t *testing.T, clients, edits int) map[string]uint64 {
-	t.Helper()
-	l := memnet.Listen(64)
-	ref := ServeDocs(l, initialOf(shardedDocs))
-	shardedWorkload(t, l, clients, edits, testClientOpts(), 0)
-	if err := ref.Shutdown(); err != nil {
-		t.Fatalf("reference shutdown: %v", err)
+// referenceFingerprints is the workload's closed-form outcome: each
+// document's canonical fingerprint is that of its clients' markers, every
+// one written once — the ground truth every topology must reproduce
+// bit-identically.
+func referenceFingerprints(clients, edits int) map[string]uint64 {
+	byDoc := make(map[string][]int, len(shardedDocs))
+	for id := 0; id < clients; id++ {
+		byDoc[docFor(id)] = append(byDoc[docFor(id)], id)
 	}
 	fps := make(map[string]uint64, len(shardedDocs))
 	for _, name := range shardedDocs {
-		doc, ok := ref.Document(name)
-		if !ok {
-			t.Fatalf("reference lost document %q", name)
-		}
-		fps[name] = CanonicalFingerprint(doc)
+		fps[name] = markerFingerprint(byDoc[name], edits)
 	}
 	return fps
 }
@@ -139,35 +133,35 @@ func checkFingerprints(t *testing.T, s *ShardedServer, want map[string]uint64) m
 }
 
 // TestShardedConvergesAcrossShardCounts is the cross-shard determinism
-// battery: the same workload over 1, 2 and 4 shards, with and without
-// wire batching, swept across GOMAXPROCS, must converge to documents
-// bit-identical (canonical fingerprint) to a single-process MultiServer
-// reference, with an exact edit count.
+// battery: the same workload over 1, 2 and 4 shards, swept across
+// GOMAXPROCS, client batching (batch frames or one line per op) and
+// router batching (nobatch: the front applies a frame op by op), must
+// converge to documents bit-identical (canonical fingerprint) to the
+// closed-form reference, with an exact edit count.
 func TestShardedConvergesAcrossShardCounts(t *testing.T) {
 	const clients, edits = 6, 8
-	want := referenceFingerprints(t, clients, edits)
+	want := referenceFingerprints(clients, edits)
 	for _, procs := range []int{1, 4} {
 		for _, shards := range []int{1, 2, 4} {
 			for _, batch := range []int{0, 4} {
-				name := fmt.Sprintf("procs=%d/shards=%d/batch=%d", procs, shards, batch)
-				t.Run(name, func(t *testing.T) {
-					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-					l := memnet.Listen(64)
-					s, err := ServeSharded(l, initialOf(shardedDocs), ShardedOptions{
-						Shards:  shards,
-						NoBatch: batch == 0, // exercise both router framing modes
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					shardedWorkload(t, l, clients, edits, testClientOpts(), batch)
-					if err := s.Shutdown(); err != nil {
-						t.Fatalf("shutdown: %v", err)
-					}
-					finals := checkFingerprints(t, s, want)
-					checkShardedExactlyOnce(t, finals, clients, edits)
-					if got, wantEdits := s.Edits(), int64(clients*edits); got != wantEdits {
-						t.Errorf("edits = %d, want exactly %d", got, wantEdits)
+				t.Run(fmt.Sprintf("procs=%d/shards=%d/batch=%d", procs, shards, batch), func(t *testing.T) {
+					for _, noBatch := range []bool{false, true} {
+						t.Run(fmt.Sprintf("nobatch=%v", noBatch), func(t *testing.T) {
+							defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+							l := memnet.Listen(64)
+							s, err := ServeSharded(l, initialOf(shardedDocs), ShardedOptions{Shards: shards, NoBatch: noBatch})
+							if err != nil {
+								t.Fatal(err)
+							}
+							shardedWorkload(t, l, clients, edits, testClientOpts(), batch)
+							if err := s.Shutdown(); err != nil {
+								t.Fatalf("shutdown: %v", err)
+							}
+							checkShardedExactlyOnce(t, checkFingerprints(t, s, want), clients, edits)
+							if got, wantEdits := s.Edits(), int64(clients*edits); got != wantEdits {
+								t.Errorf("edits = %d, want exactly %d", got, wantEdits)
+							}
+						})
 					}
 				})
 			}
@@ -182,7 +176,7 @@ func TestShardedConvergesAcrossShardCounts(t *testing.T) {
 // make at-least-once wire delivery converge exactly once.
 func TestShardedChaosConvergence(t *testing.T) {
 	const clients, edits = 6, 8
-	want := referenceFingerprints(t, clients, edits)
+	want := referenceFingerprints(clients, edits)
 
 	fnet := faultnet.New(faultnet.Config{Seed: 1234, DropProb: 0.03, ResetProb: 0.02})
 	l := memnet.Listen(64)
@@ -264,7 +258,7 @@ func TestRouteOfNoAllocs(t *testing.T) {
 // their original rid, so nothing applies twice.
 func TestShardedKillResume(t *testing.T) {
 	const clients, edits = 6, 10
-	want := referenceFingerprints(t, clients, edits)
+	want := referenceFingerprints(clients, edits)
 
 	l := memnet.Listen(64)
 	s, err := ServeSharded(l, initialOf(shardedDocs), ShardedOptions{
@@ -406,7 +400,7 @@ func TestStaleEpochTaxonomy(t *testing.T) {
 // doubled at either boundary.
 func TestShardedHandoffMidTraffic(t *testing.T) {
 	const clients, edits = 6, 12
-	want := referenceFingerprints(t, clients, edits)
+	want := referenceFingerprints(clients, edits)
 
 	l := memnet.Listen(64)
 	s, err := ServeSharded(l, initialOf(shardedDocs), ShardedOptions{Shards: 2})

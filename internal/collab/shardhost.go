@@ -43,7 +43,7 @@ import (
 // Each host is its own task tree — the per-shard single-writer merge
 // loop. Router pipes become connection tasks whose local copies are
 // OT-merged by the root, so concurrent pipes interleave exactly like
-// concurrent clients on the unsharded server.
+// concurrent clients editing one document.
 
 // splitRID parses a retry identity into its session prefix and seq.
 func splitRID(rid string) (prefix string, seq uint64, ok bool) {
@@ -62,6 +62,65 @@ func mergeMarks(dst, src map[string]uint64) {
 			dst[prefix] = seq
 		}
 	}
+}
+
+// applyRequest parses and executes one document command against a task's
+// copy:
+//
+//	INS <pos> <quoted-text>   insert text at rune position pos
+//	DEL <pos> <n>             delete n runes at pos
+//	GET                       no edit, just fetch the document
+//
+// Out-of-range positions are clamped into the current document — the
+// collaborative-editing convention (the client's view may be one exchange
+// behind).
+func applyRequest(doc *mergeable.Text, line string) (reply string, mutated bool) {
+	fields := strings.SplitN(line, " ", 3)
+	switch fields[0] {
+	case "INS":
+		if len(fields) < 3 {
+			return "ERR usage: INS <pos> <quoted-text>", false
+		}
+		pos, err := strconv.Atoi(fields[1])
+		if err != nil {
+			return "ERR bad position", false
+		}
+		text, err := strconv.Unquote(fields[2])
+		if err != nil {
+			return "ERR bad text literal", false
+		}
+		doc.Insert(clamp(pos, 0, doc.Len()), text)
+		return "OK", true
+	case "DEL":
+		if len(fields) < 3 {
+			return "ERR usage: DEL <pos> <n>", false
+		}
+		pos, err1 := strconv.Atoi(fields[1])
+		n, err2 := strconv.Atoi(fields[2])
+		if err1 != nil || err2 != nil {
+			return "ERR bad numbers", false
+		}
+		pos = clamp(pos, 0, doc.Len())
+		if n = clamp(n, 0, doc.Len()-pos); n > 0 {
+			doc.Delete(pos, n)
+			return "OK", true
+		}
+		return "OK", false
+	case "GET":
+		return "OK", false
+	default:
+		return "ERR unknown command", false
+	}
+}
+
+func clamp(v, lo, hi int) int {
+	if v < lo {
+		return lo
+	}
+	if v > hi {
+		return hi
+	}
+	return v
 }
 
 // shardHostConfig carries the shared plumbing a ShardedServer hands each
@@ -341,7 +400,7 @@ func (h *shardHost) processBatch(ctx *task.Ctx, socket net.Conn, data []mergeabl
 			continue
 		}
 		doc := data[req.docIdx].(*mergeable.Text)
-		status, mutated, _ := applyRequest(doc, req.cmd)
+		status, mutated := applyRequest(doc, req.cmd)
 		req.mutated = mutated
 		if strings.HasPrefix(status, "ERR") {
 			// Never applied: settle releases this rid without raising the

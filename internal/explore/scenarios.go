@@ -348,7 +348,7 @@ func Churn() Scenario {
 // detach than base — the decision path needs the detach on the books
 // before pumping the logical clock, or the eviction it expects would
 // race the server's notice of the dead socket.
-func sessionWaitDetach(srv *collab.Server, base int64) error {
+func sessionWaitDetach(srv *collab.ShardedServer, base int64) error {
 	deadline := time.Now().Add(10 * time.Second)
 	for srv.Stats().Get("detached") <= base {
 		if time.Now().After(deadline) {
@@ -380,26 +380,38 @@ func Session() Scenario {
 			return collab.CanonicalFingerprint(doc) ^ uint64(edits)*0x9E3779B97F4A7C15
 		},
 		Build: func(env *Env) (task.Func, []mergeable.Mergeable) {
-			finalDoc := mergeable.NewText("")
-			finalEdits := mergeable.NewCounter(0)
+			data := []mergeable.Mergeable{mergeable.NewText(""), mergeable.NewCounter(0)}
 			l := memnet.Listen(16)
-			srv := collab.ServeWith(l, "", collab.Options{
+			srv, err := collab.ServeSharded(l, map[string]string{"doc": ""}, collab.ShardedOptions{Front: collab.Options{
 				Seed:      1,
 				Admission: collab.Admission{IdleTicks: 3, IdleJitter: 2},
-			})
-			env.Defer(func() { l.Close(); srv.Wait() })
+			}})
+			if err != nil {
+				l.Close()
+				return func(*task.Ctx, []mergeable.Mergeable) error { return err }, data
+			}
+			env.Defer(func() { srv.Shutdown() }) // idempotent; normally already down
 
 			fn := func(ctx *task.Ctx, data []mergeable.Mergeable) error {
 				opts := collab.ClientOptions{
 					RequestTimeout: 10 * time.Second,
 					NoAutoResume:   true, // churn is explicit; nothing may hide behind retries
 				}
-				a, err := collab.DialWith(l, opts)
+				// The document selection is session state: every fresh
+				// session (these two, and A's after an eviction) must USE.
+				dial := func() (*collab.Client, error) {
+					c, err := collab.DialWith(l, opts)
+					if err == nil {
+						_, err = c.Use("doc")
+					}
+					return c, err
+				}
+				a, err := dial()
 				if err != nil {
 					return err
 				}
 				defer a.Close()
-				b, err := collab.DialWith(l, opts)
+				b, err := dial()
 				if err != nil {
 					return err
 				}
@@ -450,6 +462,9 @@ func Session() Scenario {
 						if err := a.NewSession(); err != nil {
 							return err
 						}
+						if _, err := a.Use("doc"); err != nil {
+							return err
+						}
 					case 3: // ack lost mid-flight; the replay window dedupes
 						if err := a.BeginInsert(0, marker); err != nil {
 							return err
@@ -472,15 +487,15 @@ func Session() Scenario {
 				if err := b.Bye(); err != nil {
 					return err
 				}
-				l.Close()
-				if err := srv.Wait(); err != nil {
+				if err := srv.Shutdown(); err != nil {
 					return err
 				}
-				data[0].(*mergeable.Text).Insert(0, srv.Document())
+				doc, _ := srv.Document("doc")
+				data[0].(*mergeable.Text).Insert(0, doc)
 				data[1].(*mergeable.Counter).Add(srv.Edits())
 				return nil
 			}
-			return fn, []mergeable.Mergeable{finalDoc, finalEdits}
+			return fn, data
 		},
 	}
 }

@@ -3,9 +3,6 @@ package journal
 import (
 	"fmt"
 	"os"
-	"sort"
-	"strconv"
-	"strings"
 )
 
 // Per-shard journal naming. A sharded service keeps one journal
@@ -13,12 +10,11 @@ import (
 // state travels as a unit: base/shard-0007/ holds everything shard 7
 // needs to resume. The zero-padded width keeps lexical and numeric
 // order identical, so directory listings read in shard order.
-const shardDirPrefix = "shard-"
 
 // ShardDirName returns the canonical directory name for a shard id,
 // e.g. "shard-0007".
 func ShardDirName(id int) string {
-	return fmt.Sprintf("%s%04d", shardDirPrefix, id)
+	return fmt.Sprintf("shard-%04d", id)
 }
 
 // ShardDir returns base/shard-NNNN, creating it (and base) if missing.
@@ -28,31 +24,4 @@ func ShardDir(base string, id int) (string, error) {
 		return "", err
 	}
 	return dir, nil
-}
-
-// ListShardDirs scans base for per-shard journal directories and
-// returns their shard ids, sorted. Foreign entries are ignored — a
-// base directory may hold other state alongside the shards.
-func ListShardDirs(base string) ([]int, error) {
-	entries, err := os.ReadDir(base)
-	if err != nil {
-		return nil, err
-	}
-	var ids []int
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		rest, ok := strings.CutPrefix(e.Name(), shardDirPrefix)
-		if !ok {
-			continue
-		}
-		id, err := strconv.Atoi(rest)
-		if err != nil || id < 0 {
-			continue
-		}
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids, nil
 }

@@ -12,8 +12,6 @@ package shard
 import (
 	"fmt"
 	"sort"
-
-	"repro/internal/dist"
 )
 
 // DefaultReplicas is the number of virtual points each shard contributes
@@ -69,21 +67,6 @@ func New(ids []int, replicas int, epoch uint64) *Ring {
 		return r.points[i].id < r.points[j].id // tie-break deterministically
 	})
 	return r
-}
-
-// FromMembers builds a ring from a dist membership snapshot: every
-// active, healthy member contributes points; draining and departed
-// members own nothing (their ranges have already moved). The ring's
-// epoch is the membership epoch, so dist's epoch ordering carries
-// straight through to the shard fence.
-func FromMembers(members []dist.MemberInfo, replicas int, epoch uint64) *Ring {
-	ids := make([]int, 0, len(members))
-	for _, m := range members {
-		if m.State == dist.StateActive && m.Healthy {
-			ids = append(ids, m.Node)
-		}
-	}
-	return New(ids, replicas, epoch)
 }
 
 // Epoch returns the membership epoch this ring was built at.

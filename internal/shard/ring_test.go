@@ -3,8 +3,6 @@ package shard
 import (
 	"fmt"
 	"testing"
-
-	"repro/internal/dist"
 )
 
 func TestRingOwnerStableAndTotal(t *testing.T) {
@@ -65,22 +63,6 @@ func TestRingMinimalMovement(t *testing.T) {
 	}
 	if moved == 0 {
 		t.Fatal("no documents moved to the new shard")
-	}
-}
-
-func TestRingFromMembers(t *testing.T) {
-	members := []dist.MemberInfo{
-		{Node: 0, State: dist.StateActive, Healthy: true},
-		{Node: 1, State: dist.StateDraining, Healthy: true},
-		{Node: 2, State: dist.StateActive, Healthy: false},
-		{Node: 3, State: dist.StateActive, Healthy: true},
-	}
-	r := FromMembers(members, 0, 9)
-	if got := r.IDs(); len(got) != 2 || got[0] != 0 || got[1] != 3 {
-		t.Fatalf("ring members = %v, want [0 3] (draining and unhealthy excluded)", got)
-	}
-	if r.Epoch() != 9 {
-		t.Fatalf("epoch = %d, want 9", r.Epoch())
 	}
 }
 
