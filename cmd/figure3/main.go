@@ -26,8 +26,6 @@ import (
 	"io"
 	"log"
 	"os"
-	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -37,7 +35,6 @@ import (
 
 func main() {
 	full := flag.Bool("full", false, "run the paper's full sweep (l = 0..10000 in steps of 1000)")
-	ablation := flag.Bool("ablation", false, "also measure the copy-on-write ablation engines (spawnmerge-*-cow)")
 	repeats := flag.Int("repeats", 1, "interleaved runs per data point")
 	hosts := flag.Int("hosts", 20, "simulated hosts (paper: 20)")
 	messages := flag.Int("messages", 100, "initial messages (paper: 100)")
@@ -54,10 +51,6 @@ func main() {
 		base:      netsim.Config{Hosts: *hosts, Messages: *messages, TTL: *ttl, Seed: 1},
 		workloads: workloads,
 		repeats:   max(*repeats, 1),
-		engines:   engineOrder,
-	}
-	if *ablation {
-		cfg.engines = append(slices.Clone(engineOrder), "spawnmerge-nondet-cow", "spawnmerge-det-cow")
 	}
 	if !*quiet {
 		cfg.verbose = os.Stderr
@@ -92,7 +85,6 @@ type sweepConfig struct {
 	base      netsim.Config // hosts/messages/TTL/seed; workload is overridden
 	workloads []int         // the l axis (paper: 0..10000)
 	repeats   int           // passes over the whole grid
-	engines   []string      // series to measure
 	verbose   io.Writer     // progress sink, may be nil
 }
 
@@ -117,8 +109,8 @@ func sweep(cfg sweepConfig) ([]point, error) {
 	}
 	for r := 0; r < cfg.repeats; r++ {
 		for i := range points {
-			for k := range cfg.engines {
-				name := cfg.engines[(k+r)%len(cfg.engines)]
+			for k := range engineOrder {
+				name := engineOrder[(k+r)%len(engineOrder)]
 				c := cfg.base
 				c.Workload = points[i].workload
 				res, err := netsim.RunEngine(name, c)
@@ -137,43 +129,20 @@ func sweep(cfg sweepConfig) ([]point, error) {
 }
 
 // writeTable renders the sweep as the data table behind Figure 3: the
-// median of whatever series the points carry, Figure 3's four by default
-// plus the COW ablations when the sweep included them.
+// median of each series at each l.
 func writeTable(w io.Writer, points []point) {
-	names := seriesOf(points)
 	fmt.Fprintf(w, "%-10s", "l")
-	for _, name := range names {
+	for _, name := range engineOrder {
 		fmt.Fprintf(w, "%24s", name)
 	}
 	fmt.Fprintln(w)
 	for _, p := range points {
 		fmt.Fprintf(w, "%-10d", p.workload)
-		for _, name := range names {
+		for _, name := range engineOrder {
 			fmt.Fprintf(w, "%21.1fms", p.median(name))
 		}
 		fmt.Fprintln(w)
 	}
-}
-
-// seriesOf lists the engine names present in points: engineOrder first,
-// then any extras in sorted order.
-func seriesOf(points []point) []string {
-	if len(points) == 0 {
-		return nil
-	}
-	var names, extra []string
-	for _, n := range engineOrder {
-		if _, ok := points[0].ms[n]; ok {
-			names = append(names, n)
-		}
-	}
-	for n := range points[0].ms {
-		if !slices.Contains(engineOrder, n) {
-			extra = append(extra, n)
-		}
-	}
-	sort.Strings(extra)
-	return append(names, extra...)
 }
 
 // spread is a median together with the range it was taken over.

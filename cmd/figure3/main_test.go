@@ -28,7 +28,6 @@ func TestSweepShape(t *testing.T) {
 		base:      netsim.Config{Hosts: 4, Messages: 8, TTL: 5, Seed: 3},
 		workloads: []int{0, 40},
 		repeats:   2,
-		engines:   engineOrder,
 		verbose:   &progress,
 	})
 	if err != nil {
@@ -141,7 +140,6 @@ func TestSweepOverheadDirection(t *testing.T) {
 		base:      netsim.Config{Hosts: 4, Messages: 8, TTL: 8, Seed: 3},
 		workloads: []int{0, 300},
 		repeats:   2,
-		engines:   engineOrder,
 	})
 	if err != nil {
 		t.Fatal(err)

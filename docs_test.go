@@ -10,10 +10,10 @@ import (
 )
 
 // TestDocsCiteWhatExists keeps the documentation honest: every `go run ./…`
-// package, every `make` target and every Benchmark… function cited in
-// README.md, DESIGN.md, EXPERIMENTS.md or the verify skill must exist.
-// Commands are read only from code spans and fenced blocks, so prose such
-// as "make the" is not taken for a target.
+// package and each -flag passed to it, every `make` target and every
+// Benchmark… function cited in README.md, DESIGN.md, EXPERIMENTS.md or the
+// verify skill must exist. Commands are read only from code spans and
+// fenced blocks, so prose such as "make the" is not taken for a target.
 func TestDocsCiteWhatExists(t *testing.T) {
 	docs := []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"}
 
@@ -49,7 +49,26 @@ func TestDocsCiteWhatExists(t *testing.T) {
 	}
 
 	code := regexp.MustCompile("(?s)```.*?```|`[^`\n]+`")
-	goRun := regexp.MustCompile(`go run (\./[\w./-]*)`)
+	goRun := regexp.MustCompile("go run (\\./[\\w./-]*)([^\n`|&;>#]*)")
+	flagUse := regexp.MustCompile(`(?:^|\s)--?([a-z][\w-]*)`)
+	flagDecl := regexp.MustCompile(`flag\.\w+\("([\w-]+)"|flag\.\w+Var\([^,]+, "([\w-]+)"`)
+	flagsOf := map[string]map[string]bool{} // package directory → declared flags
+	declared := func(dir string) map[string]bool {
+		if flags, ok := flagsOf[dir]; ok {
+			return flags
+		}
+		flags := map[string]bool{}
+		files, _ := filepath.Glob(filepath.Join(dir, "*.go"))
+		for _, f := range files {
+			if src, err := os.ReadFile(f); err == nil && !strings.HasSuffix(f, "_test.go") {
+				for _, m := range flagDecl.FindAllStringSubmatch(string(src), -1) {
+					flags[m[1]+m[2]] = true
+				}
+			}
+		}
+		flagsOf[dir] = flags
+		return flags
+	}
 	makeRun := regexp.MustCompile(`\bmake ([a-z][\w-]*)`)
 	benchRef := regexp.MustCompile(`\bBenchmark[A-Z]\w*`)
 	for _, doc := range docs {
@@ -66,6 +85,12 @@ func TestDocsCiteWhatExists(t *testing.T) {
 			for _, m := range goRun.FindAllStringSubmatch(span, -1) {
 				if fi, err := os.Stat(m[1]); err != nil || !fi.IsDir() {
 					t.Errorf("%s runs %q, which is not a directory of this module", doc, m[0])
+					continue
+				}
+				for _, f := range flagUse.FindAllStringSubmatch(m[2], -1) {
+					if !declared(m[1])[f[1]] {
+						t.Errorf("%s runs %q, but %s declares no flag -%s", doc, strings.TrimSpace(m[0]), m[1], f[1])
+					}
 				}
 			}
 			for _, m := range makeRun.FindAllStringSubmatch(span, -1) {

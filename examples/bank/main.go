@@ -39,7 +39,7 @@ func transfer(from, to int, amount int) repro.Func {
 	return func(ctx *repro.Ctx, data []repro.Mergeable) error {
 		data[from].(*repro.Counter).Add(-int64(amount))
 		data[to].(*repro.Counter).Add(int64(amount))
-		data[journalIdx].(*repro.FastList[string]).Append(
+		data[journalIdx].(*repro.List[string]).Append(
 			fmt.Sprintf("%s -> %s: %d", names[from], names[to], amount))
 		return nil
 	}
@@ -50,9 +50,9 @@ func main() {
 	for _, start := range []int64{100, 50, 10} {
 		data = append(data, repro.NewCounter(start))
 	}
-	// FastList (copy-on-write) rather than List: the journal is append-only
-	// and copied to every teller, the COW structure's best case.
-	journal := repro.NewFastList[string]()
+	// The journal is append-only and copied to every teller; the list's
+	// copy-on-write storage makes each copy O(1).
+	journal := repro.NewList[string]()
 	data = append(data, journal)
 
 	noOverdraft := repro.WithCondition(func(preview []repro.Mergeable) bool {

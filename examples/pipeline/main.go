@@ -26,18 +26,17 @@ var documents = []string{
 }
 
 func main() {
-	// FastList (copy-on-write) rather than List for the append-only token
-	// and summary streams; the per-stage fan-out copies them to every
-	// worker, which COW makes O(1).
-	tokens := repro.NewFastList[string]()
+	// The per-stage fan-out copies the append-only token and summary
+	// streams to every worker; copy-on-write lists make that O(1).
+	tokens := repro.NewList[string]()
 	scores := repro.NewMap[string, int]()
-	summary := repro.NewFastList[string]()
+	summary := repro.NewList[string]()
 	audit := repro.NewCounter(0)
 
 	err := repro.Run(func(ctx *repro.Ctx, data []repro.Mergeable) error {
-		tk := data[0].(*repro.FastList[string])
+		tk := data[0].(*repro.List[string])
 		sc := data[1].(*repro.Map[string, int])
-		sm := data[2].(*repro.FastList[string])
+		sm := data[2].(*repro.List[string])
 
 		// A slow, unrelated child runs across all stages; nothing waits
 		// for it until the very end.
@@ -52,7 +51,7 @@ func main() {
 		for i, doc := range documents {
 			doc := doc
 			stage1[i] = ctx.Spawn(func(ctx *repro.Ctx, data []repro.Mergeable) error {
-				out := data[0].(*repro.FastList[string])
+				out := data[0].(*repro.List[string])
 				out.Append(strings.Fields(doc)...)
 				return nil
 			}, tk)
@@ -84,7 +83,7 @@ func main() {
 		// Stage 3: summarize (single task, needs all stage-2 output).
 		stage3 := ctx.Spawn(func(ctx *repro.Ctx, data []repro.Mergeable) error {
 			in := data[0].(*repro.Map[string, int])
-			out := data[1].(*repro.FastList[string])
+			out := data[1].(*repro.List[string])
 			longest, best := "", 0
 			total := 0
 			for _, k := range in.Keys() {

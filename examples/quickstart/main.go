@@ -25,10 +25,8 @@ func f(ctx *repro.Ctx, data []repro.Mergeable) error {
 }
 
 func runOnce() ([]int, error) {
-	// Plain List, to match Listing 1 verbatim. Since the COW rework its
-	// CloneValue is O(1) structural sharing too; FastList remains the
-	// leaner choice for append/overwrite-only workloads (see the other
-	// examples).
+	// A List, to match Listing 1 verbatim. Its CloneValue is O(1)
+	// structural sharing (copy-on-write storage).
 	list := repro.NewList(1, 2, 3)
 	err := repro.Run(func(ctx *repro.Ctx, data []repro.Mergeable) error {
 		l := data[0].(*repro.List[int])

@@ -30,14 +30,14 @@ const (
 
 func producerConsumer() {
 	const items = 6
-	// FastQueue/FastList (copy-on-write) rather than Queue/List: the buffer
-	// and sink cross a Spawn/Sync boundary on every semaphore operation, and
-	// this example only pushes, pops and appends — the COW fast paths.
-	buf := repro.NewFastQueue[int]()
-	out := repro.NewFastList[int]()
+	// The buffer and sink cross a Spawn/Sync boundary on every semaphore
+	// operation; their copy-on-write storage shares structure instead of
+	// copying, and pushes, pops and appends stay on its fast paths.
+	buf := repro.NewQueue[int]()
+	out := repro.NewList[int]()
 
 	producer := func(ctx *task.Ctx, sems *semaphore.Sems, data []mergeable.Mergeable) error {
-		q := data[0].(*repro.FastQueue[int])
+		q := data[0].(*repro.Queue[int])
 		for i := 0; i < items; i++ {
 			if err := sems.Acquire(semSlots); err != nil {
 				return err
@@ -57,8 +57,8 @@ func producerConsumer() {
 		return nil
 	}
 	consumer := func(ctx *task.Ctx, sems *semaphore.Sems, data []mergeable.Mergeable) error {
-		q := data[0].(*repro.FastQueue[int])
-		sink := data[1].(*repro.FastList[int])
+		q := data[0].(*repro.Queue[int])
+		sink := data[1].(*repro.List[int])
 		for i := 0; i < items; i++ {
 			if err := sems.Acquire(semItems); err != nil {
 				return err

@@ -43,7 +43,7 @@ func host(id, hosts int) repro.Func {
 				}
 				return err
 			}
-			queue := data[id].(*repro.FastQueue[message])
+			queue := data[id].(*repro.Queue[message])
 			m, ok := queue.PopFront()
 			if !ok {
 				continue
@@ -52,7 +52,7 @@ func host(id, hosts int) repro.Func {
 			hops.Inc()
 			if m.TTL > 1 {
 				dest := int(digest % uint64(hosts)) // content-derived routing
-				data[dest].(*repro.FastQueue[message]).Push(message{Payload: digest, TTL: m.TTL - 1})
+				data[dest].(*repro.Queue[message]).Push(message{Payload: digest, TTL: m.TTL - 1})
 			}
 		}
 	}
@@ -62,12 +62,11 @@ func host(id, hosts int) repro.Func {
 // final queues plus the processed hop count.
 func simulate(hosts, messages, ttl int) (uint64, int64, error) {
 	data := make([]repro.Mergeable, 0, hosts+1)
-	// FastQueue (copy-on-write) rather than Queue: every host cycle copies
-	// all queues on Sync, and the workload is pure push/pop — exactly the
-	// shape the COW structure's O(1) clone exists for.
-	queues := make([]*repro.FastQueue[message], hosts)
+	// Every host cycle copies all queues on Sync; the queue's
+	// copy-on-write storage makes each copy O(1).
+	queues := make([]*repro.Queue[message], hosts)
 	for i := range queues {
-		queues[i] = repro.NewFastQueue[message]()
+		queues[i] = repro.NewQueue[message]()
 		data = append(data, queues[i])
 	}
 	for i := 0; i < messages; i++ {

@@ -52,18 +52,17 @@ func sequential(grid []float64, iters int) []float64 {
 // second, empty Sync refreshes it with the complete round — after which
 // every partition sees the identical post-iteration grid.
 func parallel(grid []float64, parts, iters int) ([]float64, error) {
-	// FastList (copy-on-write) rather than List: the whole grid is copied
-	// to every partition twice per iteration (the double Sync), and the
-	// solver only reads and overwrites cells — COW's O(1) clone turns the
-	// dominant copy cost into structural sharing.
-	cells := repro.NewFastList(grid...)
+	// The whole grid is copied to every partition twice per iteration (the
+	// double Sync); the list's copy-on-write storage turns that dominant
+	// copy cost into structural sharing.
+	cells := repro.NewList(grid...)
 	err := repro.Run(func(ctx *repro.Ctx, data []repro.Mergeable) error {
 		n := len(grid)
 		for p := 0; p < parts; p++ {
 			lo := p * n / parts
 			hi := (p + 1) * n / parts
 			ctx.Spawn(func(ctx *repro.Ctx, data []repro.Mergeable) error {
-				g := data[0].(*repro.FastList[float64])
+				g := data[0].(*repro.List[float64])
 				for it := 0; it < iters; it++ {
 					prev := g.Values() // complete previous-iteration grid
 					for i := lo; i < hi; i++ {

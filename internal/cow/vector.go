@@ -11,7 +11,7 @@
 // relaxed-radix idea of RRB-trees (Bagwell & Rompf, 2011): the nodes a
 // splice copies carry a size table, everything else stays a plain radix
 // trie, so a splice costs O(log32 n) too. Every sequence structure in
-// package mergeable (List, FastList, Queue, FastQueue) is backed by it.
+// package mergeable (List, Queue) is backed by it.
 package cow
 
 import (

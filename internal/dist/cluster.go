@@ -353,43 +353,6 @@ func (c *Cluster) dialNode(n *workerNode) (net.Conn, error) {
 // state and the failure surfaces as an error instead (re-execution would
 // double-apply).
 func (c *Cluster) SpawnRemote(ctx *task.Ctx, node int, fnName string, data ...mergeable.Mergeable) *task.Task {
-	return c.spawnRemote(ctx, node, fnName, nil, data)
-}
-
-// SpawnRemoteMany spawns the registered function on each of the given
-// nodes over snapshot copies of the same data — the fan-out shape of a
-// scatter phase. The structures are serialized exactly once, in the
-// calling task's goroutine before any proxy starts, and the encoded bytes
-// are shared by every node's spawn message and by any failover re-spawn:
-// snapshots are immutable once encoded, so sharing is safe, and a K-node
-// fan-out pays one encode instead of K. Every returned handle is an
-// ordinary *task.Task with the same merge/failover semantics as
-// SpawnRemote.
-//
-// The error is an encoding error only; it is returned before any task is
-// spawned, so the caller never has stray children to collect.
-func (c *Cluster) SpawnRemoteMany(ctx *task.Ctx, nodes []int, fnName string, data ...mergeable.Mergeable) ([]*task.Task, error) {
-	// Encoding reads the live structures, so it must happen here — in the
-	// calling task's goroutine, before it can mutate them further — for the
-	// bytes to equal what each proxy's own spawn-time snapshot would hold.
-	snaps, err := encodeSnapshots(data)
-	if err != nil {
-		return nil, err
-	}
-	tasks := make([]*task.Task, len(nodes))
-	for i, node := range nodes {
-		tasks[i] = c.spawnRemote(ctx, node, fnName, snaps, data)
-	}
-	return tasks, nil
-}
-
-// spawnRemote builds the local proxy task behind SpawnRemote and
-// SpawnRemoteMany. shared, when non-nil, is the pre-encoded snapshot set
-// the proxy ships instead of encoding its own copies; the codecs encode
-// values only (never log state), so the caller's encode of the live
-// structures and the proxy's encode of its spawn-time copies are
-// byte-identical.
-func (c *Cluster) spawnRemote(ctx *task.Ctx, node int, fnName string, shared []snapshot, data []mergeable.Mergeable) *task.Task {
 	return ctx.Spawn(func(ctx *task.Ctx, copies []mergeable.Mergeable) error {
 		if c.closed.Load() {
 			return noCoordinatorError("spawn")
@@ -399,13 +362,9 @@ func (c *Cluster) spawnRemote(ctx *task.Ctx, node int, fnName string, shared []s
 			return fmt.Errorf("dist: no worker node %d", node)
 		}
 		// The original snapshots, kept for failover re-spawns.
-		snaps := shared
-		if snaps == nil {
-			var err error
-			snaps, err = encodeSnapshots(copies)
-			if err != nil {
-				return err
-			}
+		snaps, err := encodeSnapshots(copies)
+		if err != nil {
+			return err
 		}
 		target := node
 		// A drained (or departed) request target is redirected to the

@@ -301,46 +301,6 @@ func init() {
 	})
 }
 
-// RegisterFastListCodec registers a codec for *mergeable.FastList[T].
-func RegisterFastListCodec[T any](name string) {
-	var zero T
-	gob.Register(zero)
-	RegisterCodec(funcCodec{
-		name: name,
-		typ:  reflect.TypeOf((*mergeable.FastList[T])(nil)),
-		enc: func(m mergeable.Mergeable) ([]byte, error) {
-			return gobEncode(m.(*mergeable.FastList[T]).Values())
-		},
-		dec: func(data []byte) (mergeable.Mergeable, error) {
-			var vals []T
-			if err := gobDecode(data, &vals); err != nil {
-				return nil, err
-			}
-			return mergeable.NewFastList(vals...), nil
-		},
-	})
-}
-
-// RegisterFastQueueCodec registers a codec for *mergeable.FastQueue[T].
-func RegisterFastQueueCodec[T any](name string) {
-	var zero T
-	gob.Register(zero)
-	RegisterCodec(funcCodec{
-		name: name,
-		typ:  reflect.TypeOf((*mergeable.FastQueue[T])(nil)),
-		enc: func(m mergeable.Mergeable) ([]byte, error) {
-			return gobEncode(m.(*mergeable.FastQueue[T]).Values())
-		},
-		dec: func(data []byte) (mergeable.Mergeable, error) {
-			var vals []T
-			if err := gobDecode(data, &vals); err != nil {
-				return nil, err
-			}
-			return mergeable.NewFastQueue(vals...), nil
-		},
-	})
-}
-
 // RegisterTreeCodec registers the codec for *mergeable.Tree. Node values
 // travel as gob interface payloads, so callers must gob.Register every
 // concrete value type their trees hold (strings and numbers work out of

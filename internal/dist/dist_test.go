@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -240,6 +241,26 @@ func TestRemoteUnknownFuncAndNode(t *testing.T) {
 			}
 			return nil
 		}, mergeable.NewList[int]())
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestSpawnRemoteEncodeError: a spawn over a structure with no registered
+// codec fails the proxy with the codec error instead of reaching a node.
+func TestSpawnRemoteEncodeError(t *testing.T) {
+	testutil.WithTimeout(t, 30*time.Second, func() {
+		cluster := NewCluster(1)
+		defer cluster.Close()
+		err := task.Run(func(ctx *task.Ctx, data []mergeable.Mergeable) error {
+			cluster.SpawnRemote(ctx, 0, "append5", data[0])
+			mergeErr := ctx.MergeAll()
+			if mergeErr == nil || !strings.Contains(mergeErr.Error(), "dist: no codec registered") {
+				t.Errorf("spawn without a codec: merge error %v", mergeErr)
+			}
+			return nil
+		}, mergeable.NewList[float32]()) // no codec registered for this type
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,8 +13,6 @@ import (
 )
 
 func init() {
-	RegisterFastListCodec[int]("test-fastlist-int")
-	RegisterFastQueueCodec[int]("test-fastqueue-int")
 	RegisterTreeCodec("test-tree")
 	RegisterFunc("slow-sync-loop", func(wctx *WorkerCtx, data []mergeable.Mergeable) error {
 		c := data[0].(*mergeable.Counter)
@@ -79,32 +77,27 @@ func TestDialAfterClusterClose(t *testing.T) {
 	})
 }
 
-// TestExtendedCodecRoundtrips covers the COW and tree codecs.
+// TestExtendedCodecRoundtrips covers the tree codec, registered on demand.
 func TestExtendedCodecRoundtrips(t *testing.T) {
-	fl := mergeable.NewFastList(1, 2, 3)
-	fq := mergeable.NewFastQueue(4, 5)
 	tr := mergeable.NewTree("root")
 	if err := tr.InsertNode([]int{0}, "child"); err != nil {
 		t.Fatal(err)
 	}
 	tr.Log().TakeLocal()
-
-	for _, m := range []mergeable.Mergeable{fl, fq, tr} {
-		codec, err := codecFor(m)
-		if err != nil {
-			t.Fatalf("%T: %v", m, err)
-		}
-		b, err := codec.Encode(m)
-		if err != nil {
-			t.Fatalf("%T encode: %v", m, err)
-		}
-		back, err := codec.Decode(b)
-		if err != nil {
-			t.Fatalf("%T decode: %v", m, err)
-		}
-		if back.Fingerprint() != m.Fingerprint() {
-			t.Errorf("%T: roundtrip changed the value", m)
-		}
+	codec, err := codecFor(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := codec.Encode(tr)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	back, err := codec.Decode(b)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if back.Fingerprint() != tr.Fingerprint() {
+		t.Error("roundtrip changed the value")
 	}
 }
 

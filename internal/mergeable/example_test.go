@@ -66,10 +66,10 @@ func ExampleCounter() {
 	// Output: 12
 }
 
-// FastQueue shares structure on clone: a copy is O(1) no matter the size.
-func ExampleFastQueue() {
-	q := mergeable.NewFastQueue(1, 2, 3)
-	clone := q.CloneValue().(*mergeable.FastQueue[int])
+// A Queue shares structure on clone: a copy is O(1) no matter the size.
+func ExampleQueue() {
+	q := mergeable.NewQueue(1, 2, 3)
+	clone := q.CloneValue().(*mergeable.Queue[int])
 	clone.Push(4) // does not touch q
 	v, _ := q.PopFront()
 	fmt.Println(v, q.Values(), clone.Values())

@@ -3,6 +3,7 @@ package mergeable
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -247,11 +248,210 @@ func TestQueueAdoptAndClone(t *testing.T) {
 	if err := other.AdoptFrom(NewCounter(0)); err == nil {
 		t.Fatalf("adopting foreign type should fail")
 	}
-	if err := other.ApplyRemote([]ot.Op{ot.RegisterSet{Value: 1}}); err == nil {
-		t.Fatalf("foreign op family should fail")
-	}
 	if other.Fingerprint() != q.Fingerprint() {
 		t.Fatalf("equal queues must share fingerprints")
+	}
+	if len(c.Log().LocalOps()) != 1 {
+		t.Fatal("clone should start with a fresh log")
+	}
+	for _, op := range []ot.Op{
+		ot.SeqInsert{Pos: 9, Elems: []any{1}},
+		ot.SeqInsert{Pos: 0, Elems: []any{"bad"}},
+		ot.SeqDelete{Pos: 0, N: 9},
+		ot.SeqSet{Pos: 9, Elem: 1},
+		ot.SeqSet{Pos: 0, Elem: "bad"},
+		ot.RegisterSet{Value: 1},
+	} {
+		if err := other.ApplyRemote([]ot.Op{op}); err == nil {
+			t.Errorf("apply %v should fail", op)
+		}
+	}
+}
+
+// TestQueueCompaction: popping most of a long queue drops the consumed
+// prefix from the backing vector.
+func TestQueueCompaction(t *testing.T) {
+	q := NewQueue[int]()
+	for i := 0; i < 1000; i++ {
+		q.Push(i)
+	}
+	for i := 0; i < 990; i++ {
+		if v, ok := q.PopFront(); !ok || v != i {
+			t.Fatalf("pop %d = %d/%v", i, v, ok)
+		}
+	}
+	if q.Len() != 10 || q.head > q.vec.Len() || q.vec.Len() > 600 {
+		t.Fatalf("compaction never ran: head %d, vector %d, len %d", q.head, q.vec.Len(), q.Len())
+	}
+}
+
+// TestQueueInteriorDeleteDropsPrefix pins that an interior delete, which
+// splices past the consumed prefix, drops that prefix once it dominates,
+// as a front pop does.
+func TestQueueInteriorDeleteDropsPrefix(t *testing.T) {
+	want := []int{90}
+	for i := 171; i < 200; i++ {
+		want = append(want, i)
+	}
+	q := NewQueue[int]()
+	for i := 0; i < 200; i++ {
+		q.Push(i)
+	}
+	for i := 0; i < 90; i++ { // head 90 of 200: below half, no compaction yet
+		q.PopFront()
+	}
+	if err := q.ApplyRemote([]ot.Op{ot.SeqDelete{Pos: 1, N: 80}}); err != nil {
+		t.Fatal(err)
+	}
+	if q.head != 0 {
+		t.Fatalf("consumed prefix kept: head %d", q.head)
+	}
+	if !reflect.DeepEqual(q.Values(), want) {
+		t.Fatalf("values %v, want %v", q.Values(), want)
+	}
+}
+
+// seqModel applies a sequence op to the plain-slice model.
+func seqModel(m []int, op ot.Op) []int {
+	switch v := op.(type) {
+	case ot.SeqInsert:
+		for i, e := range v.Elems {
+			m = slices.Insert(m, v.Pos+i, e.(int))
+		}
+	case ot.SeqDelete:
+		m = slices.Delete(m, v.Pos, v.Pos+v.N)
+	case ot.SeqSet:
+		m[v.Pos] = v.Elem.(int)
+	}
+	return m
+}
+
+// seqOpsAt returns one remote insert, delete and set at position p of a
+// length-n sequence (only the insert when p == n).
+func seqOpsAt(r *rand.Rand, p, n int) []ot.Op {
+	ops := []ot.Op{ot.SeqInsert{Pos: p, Elems: []any{r.Intn(1000), r.Intn(1000)}}}
+	if p < n {
+		ops = append(ops, ot.SeqDelete{Pos: p, N: 1 + r.Intn(n-p)}, ot.SeqSet{Pos: p, Elem: r.Intn(1000)})
+	}
+	return ops
+}
+
+// seqUnderTest is what the slice-model test observes of List and Queue.
+type seqUnderTest interface {
+	Mergeable
+	Values() []int
+}
+
+// TestListQueueMatchSliceModel drives List and Queue beside a plain []int
+// model: random local edits, remote ops at every position (on a queue
+// whose consumed prefix reaches 64, so compaction runs), clones and
+// adopts that then diverge. After every step the values must equal the
+// model and the fingerprint that of a container freshly built from it.
+func TestListQueueMatchSliceModel(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	check := func(c seqUnderTest, m []int, fresh seqUnderTest) {
+		t.Helper()
+		if got := c.Values(); !slices.Equal(got, m) {
+			t.Fatalf("%T values %v, model %v", c, got, m)
+		}
+		if c.Fingerprint() != fresh.Fingerprint() {
+			t.Fatalf("%T fingerprint differs from a fresh container with values %v", c, m)
+		}
+	}
+	remote := func(c seqUnderTest, m []int, op ot.Op) []int {
+		t.Helper()
+		if err := c.ApplyRemote([]ot.Op{op}); err != nil {
+			t.Fatalf("%T apply %v: %v", c, op, err)
+		}
+		return seqModel(m, op)
+	}
+	editList := func(l *List[int], m []int) []int {
+		n, v := len(m), r.Intn(1000)
+		switch {
+		case n == 0 || r.Intn(3) == 0:
+			i := r.Intn(n + 1)
+			l.Insert(i, v, v+1)
+			return slices.Insert(m, i, v, v+1)
+		case r.Intn(2) == 0:
+			i := r.Intn(n)
+			k := min(1+r.Intn(3), n-i)
+			l.DeleteN(i, k)
+			return slices.Delete(m, i, i+k)
+		default:
+			i := r.Intn(n)
+			l.Set(i, v)
+			m[i] = v
+			return m
+		}
+	}
+	randomOp := func(n int) ot.Op {
+		ops := seqOpsAt(r, r.Intn(n+1), n)
+		return ops[r.Intn(len(ops))]
+	}
+	editQueue := func(q *Queue[int], m []int) []int {
+		if len(m) == 0 || r.Intn(2) == 0 {
+			v := r.Intn(1000)
+			q.Push(v)
+			return append(m, v)
+		}
+		if v, ok := q.PopFront(); !ok || v != m[0] {
+			t.Fatalf("PopFront = %d/%v, model front %d", v, ok, m[0])
+		}
+		return m[1:]
+	}
+	for trial := 0; trial < 40; trial++ {
+		l, lm := NewList[int](), []int(nil)
+		q := NewQueue[int]()
+		for i := 0; i < 200; i++ {
+			q.Push(i)
+		}
+		for i := 0; i < 64+r.Intn(32); i++ {
+			q.PopFront()
+		}
+		qm := q.Values()
+		for step := 0; step < 60; step++ {
+			lm = editList(l, lm)
+			qm = editQueue(q, qm)
+			lm = remote(l, lm, randomOp(len(lm)))
+			qm = remote(q, qm, randomOp(len(qm)))
+			check(l, lm, NewList(lm...))
+			check(q, qm, NewQueue(qm...))
+			if step%20 != 0 {
+				continue
+			}
+			for p := 0; p <= len(qm); p++ {
+				for _, op := range seqOpsAt(r, p, len(qm)) {
+					c := q.CloneValue().(*Queue[int])
+					cm := remote(c, slices.Clone(qm), op)
+					check(c, cm, NewQueue(cm...))
+				}
+			}
+			for p := 0; p <= len(lm); p++ {
+				for _, op := range seqOpsAt(r, p, len(lm)) {
+					c := l.CloneValue().(*List[int])
+					cm := remote(c, slices.Clone(lm), op)
+					check(c, cm, NewList(cm...))
+				}
+			}
+			// A clone and an adopter diverge from the original.
+			lc, la := l.CloneValue().(*List[int]), NewList(-1)
+			qc, qa := q.CloneValue().(*Queue[int]), NewQueue(-1)
+			if la.AdoptFrom(l) != nil || qa.AdoptFrom(q) != nil {
+				t.Fatal("adopt failed")
+			}
+			lcm, lam := editList(lc, slices.Clone(lm)), editList(la, slices.Clone(lm))
+			qcm, qam := editQueue(qc, slices.Clone(qm)), editQueue(qa, slices.Clone(qm))
+			lm, qm = editList(l, lm), editQueue(q, qm)
+			check(lc, lcm, NewList(lcm...))
+			check(la, lam, NewList(lam...))
+			check(qc, qcm, NewQueue(qcm...))
+			check(qa, qam, NewQueue(qam...))
+			check(l, lm, NewList(lm...))
+			check(q, qm, NewQueue(qm...))
+			if r.Intn(2) == 0 { // carry on with the copies
+				l, lm, q, qm = lc, lcm, qa, qam
+			}
+		}
 	}
 }
 

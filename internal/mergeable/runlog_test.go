@@ -37,7 +37,7 @@ func TestRunCoalescing(t *testing.T) {
 		}
 	})
 	t.Run("push-pop-cancels", func(t *testing.T) {
-		q := NewFastQueue[int]()
+		q := NewQueue[int]()
 		for i := 0; i < 10; i++ {
 			q.Push(i)
 			if v, ok := q.PopFront(); !ok || v != i {
@@ -160,28 +160,20 @@ func TestIncrementalFingerprint(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		l := NewList[int]()
 		q := NewQueue[string]()
-		fl := NewFastList[int]()
-		fq := NewFastQueue[int]()
 		tx := NewText("")
 		for step := 0; step < 20; step++ {
 			v := r.Intn(1000) - 300
 			switch r.Intn(5) {
 			case 0:
 				l.Append(v)
-				fl.Append(v)
 				q.Push(fmt.Sprintf("s%d", v))
-				fq.Push(v)
 				tx.Append(fmt.Sprintf("%d;", v))
 			case 1:
 				if l.Len() > 0 {
 					l.Set(r.Intn(l.Len()), v)
 				}
-				if fl.Len() > 0 {
-					fl.Set(r.Intn(fl.Len()), v)
-				}
 			case 2:
 				q.PopFront()
-				fq.PopFront()
 			case 3:
 				if l.Len() > 0 {
 					l.Delete(r.Intn(l.Len()))
@@ -202,12 +194,6 @@ func TestIncrementalFingerprint(t *testing.T) {
 		if got, want := q.Fingerprint(), NewQueue(q.Values()...).Fingerprint(); got != want {
 			t.Fatalf("trial %d: queue fingerprint %x, rebuild %x (%v)", trial, got, want, q.Values())
 		}
-		if got, want := fl.Fingerprint(), NewFastList(fl.Values()...).Fingerprint(); got != want {
-			t.Fatalf("trial %d: fastlist fingerprint %x, rebuild %x", trial, got, want)
-		}
-		if got, want := fq.Fingerprint(), NewFastQueue(fq.Values()...).Fingerprint(); got != want {
-			t.Fatalf("trial %d: fastqueue fingerprint %x, rebuild %x", trial, got, want)
-		}
 		if got, want := tx.Fingerprint(), NewText(tx.String()).Fingerprint(); got != want {
 			t.Fatalf("trial %d: text fingerprint %x, rebuild %x (%q)", trial, got, want, tx.String())
 		}
@@ -215,8 +201,8 @@ func TestIncrementalFingerprint(t *testing.T) {
 		if got, want := l.Fingerprint(), FingerprintString(l.render()); got != want {
 			t.Fatalf("trial %d: list fingerprint %x diverges from rendering hash %x", trial, got, want)
 		}
-		if got, want := fq.Fingerprint(), q2Render(fq.Values()); got != want {
-			t.Fatalf("trial %d: fastqueue fingerprint %x diverges from rendering hash %x", trial, got, want)
+		if got, want := q.Fingerprint(), q2Render(q.Values()); got != want {
+			t.Fatalf("trial %d: queue fingerprint %x diverges from rendering hash %x", trial, got, want)
 		}
 		clone := l.CloneValue().(*List[int])
 		clone.Append(12345)

@@ -28,20 +28,6 @@ func Engines() []Engine {
 	}
 }
 
-// AblationEngines returns the copy-on-write variants of the Spawn & Merge
-// engines — same algorithm, FastQueue storage — used to quantify the
-// paper's announced copy-on-write optimization.
-func AblationEngines() []Engine {
-	cow := func(cfg Config) (Result, error) {
-		cfg.COW = true
-		return RunSpawnMerge(cfg)
-	}
-	return []Engine{
-		{Name: "spawnmerge-nondet-cow", DeterministicResults: true, Routing: RouteHash, Run: cow},
-		{Name: "spawnmerge-det-cow", DeterministicResults: true, Routing: RouteRing, Run: cow},
-	}
-}
-
 // BaselineEngines returns the additional Go-idiomatic channel baselines
 // (not part of the paper's four setups).
 func BaselineEngines() []Engine {
@@ -52,13 +38,10 @@ func BaselineEngines() []Engine {
 	}
 }
 
-// AllEngines returns every engine: the paper's four, the COW ablations
-// and the channel baselines.
+// AllEngines returns every engine: the paper's four and the channel
+// baselines.
 func AllEngines() []Engine {
-	all := Engines()
-	all = append(all, AblationEngines()...)
-	all = append(all, BaselineEngines()...)
-	return all
+	return append(Engines(), BaselineEngines()...)
 }
 
 // RunEngine runs the named engine after forcing cfg.Routing to the

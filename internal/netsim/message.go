@@ -84,11 +84,6 @@ type Config struct {
 	Workload int     // SHA-1 iterations per hop, the l axis (paper: 0..10000)
 	Routing  Routing // hash (non-det setups) or ring (det setups)
 	Seed     uint64  // seeds the initial payloads
-	// COW switches the Spawn & Merge engines to copy-on-write queues
-	// (mergeable.FastQueue) — the paper's announced future-work
-	// optimization, exposed as the "-cow" ablation engines. It has no
-	// effect on the conventional engines.
-	COW bool
 
 	// Hotspot changes the initial distribution: all messages start on
 	// host 0 instead of round-robin. With ring routing this creates the

@@ -26,26 +26,17 @@ import (
 // whatever another host wrote — refreshes each position of each host.
 func RunSpawnMerge(cfg Config) (Result, error) {
 	h := cfg.Hosts
-	queues := make([]messageQueue, h)
+	queues := make([]*mergeable.Queue[Message], h)
 	for i, initial := range cfg.initialMessages() {
-		var q messageQueue
-		if cfg.COW {
-			q = mergeable.NewFastQueue[Message]()
-		} else {
-			q = mergeable.NewQueue[Message]()
-		}
+		q := mergeable.NewQueue[Message]()
 		for _, m := range initial {
 			q.Push(m)
 		}
 		queues[i] = q
 	}
-	traces := make([]traceList, h)
+	traces := make([]*mergeable.List[uint64], h)
 	for i := range traces {
-		if cfg.COW {
-			traces[i] = mergeable.NewFastList[uint64]()
-		} else {
-			traces[i] = mergeable.NewList[uint64]()
-		}
+		traces[i] = mergeable.NewList[uint64]()
 	}
 	hops := mergeable.NewCounter(0)
 
@@ -93,9 +84,6 @@ func RunSpawnMerge(cfg Config) (Result, error) {
 	if cfg.Routing == RouteRing {
 		name = "spawnmerge-det"
 	}
-	if cfg.COW {
-		name += "-cow"
-	}
 	return Result{
 		Engine:      name,
 		Config:      cfg,
@@ -107,32 +95,16 @@ func RunSpawnMerge(cfg Config) (Result, error) {
 	}, nil
 }
 
-// messageQueue abstracts the two queue backings: the default deep-copy
-// Queue and the copy-on-write FastQueue ablation.
-type messageQueue interface {
-	mergeable.Mergeable
-	Push(Message)
-	PopFront() (Message, bool)
-	Len() int
-}
-
-// traceList abstracts the two trace backings (List vs FastList).
-type traceList interface {
-	mergeable.Mergeable
-	Append(vals ...uint64)
-	Values() []uint64
-}
-
 // hostFunc is the paper's host() function (Listing 4): sync, pop own
 // queue, process, push to the destination queue.
 func hostFunc(id int, cfg Config) task.Func {
 	return func(ctx *task.Ctx, data []mergeable.Mergeable) error {
 		h := cfg.Hosts
-		queues := make([]messageQueue, h)
+		queues := make([]*mergeable.Queue[Message], h)
 		for i := 0; i < h; i++ {
-			queues[i] = data[i].(messageQueue)
+			queues[i] = data[i].(*mergeable.Queue[Message])
 		}
-		trace := data[h+id].(traceList)
+		trace := data[h+id].(*mergeable.List[uint64])
 		hops := data[2*h].(*mergeable.Counter)
 
 		for {

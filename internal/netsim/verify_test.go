@@ -2,10 +2,10 @@ package netsim
 
 import "testing"
 
-// TestAllEnginesSatisfyTraceChains runs every engine — the paper's four,
-// the COW ablations and the channel baselines — through the hash-chain
-// verifier: each must have processed every message exactly TTL times, at
-// the model-determined hosts, with the model-determined payloads.
+// TestAllEnginesSatisfyTraceChains runs every engine — the paper's four
+// and the channel baselines — through the hash-chain verifier: each must
+// have processed every message exactly TTL times, at the model-determined
+// hosts, with the model-determined payloads.
 func TestAllEnginesSatisfyTraceChains(t *testing.T) {
 	for _, e := range AllEngines() {
 		for _, workload := range []int{0, 3} {

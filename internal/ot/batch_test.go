@@ -259,7 +259,7 @@ func TestBatchedTransformBoundaries(t *testing.T) {
 // transforms on the same scratch, and the scratch is reusable after Reset.
 func TestMergeScratchTransform(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
-	sc := NewMergeScratch()
+	sc := &MergeScratch{}
 	for round := 0; round < 200; round++ {
 		n := r.Intn(10)
 		base := make([]any, n)
@@ -436,7 +436,7 @@ func BenchmarkTransformScatter(b *testing.B) {
 		clients[k] = genScatterHistory(r, baseLen, perChild, k+1)
 		cells += perChild * perChild * (k + 1)
 	}
-	sc := NewMergeScratch()
+	sc := &MergeScratch{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -21,15 +21,12 @@ package ot
 import "sync"
 
 // MergeScratch is a reusable transform arena. The zero value is ready to
-// use; see NewMergeScratch. Not safe for concurrent use.
+// use. Not safe for concurrent use.
 type MergeScratch struct {
 	batch  batchScratch
 	aS, bS []shapeOp
 	arena  []Op
 }
-
-// NewMergeScratch returns an empty scratch arena.
-func NewMergeScratch() *MergeScratch { return &MergeScratch{} }
 
 // Reset invalidates every slice previously returned by this scratch's
 // TransformAgainst and recycles the arena for the next merge. References

@@ -18,14 +18,15 @@ import (
 // fingerprint and the two span trees must be bit-identical, at GOMAXPROCS
 // 1 and 4 (the suite runs under -race in CI).
 
-// diffData returns fresh instances of all eight provided structure
-// families.
+// diffData returns fresh instances of every provided structure family:
+// two lists (one takes interior edits, the other appends and overwrites),
+// two queues, and one of each other family.
 func diffData() []mergeable.Mergeable {
 	return []mergeable.Mergeable{
 		mergeable.NewList(1, 2, 3),
-		mergeable.NewFastList(4, 5, 6),
+		mergeable.NewList(4, 5, 6),
 		mergeable.NewQueue(7, 8),
-		mergeable.NewFastQueue(9, 10),
+		mergeable.NewQueue(9, 10),
 		mergeable.NewText("diff"),
 		mergeable.NewMap[int, int](),
 		mergeable.NewCounter(0),
@@ -44,7 +45,7 @@ func diffMutate(r *rand.Rand, data []mergeable.Mergeable) {
 			l.Insert(r.Intn(l.Len()+1), r.Intn(100))
 		}
 	case 1:
-		f := data[1].(*mergeable.FastList[int])
+		f := data[1].(*mergeable.List[int])
 		if f.Len() > 0 && r.Intn(2) == 0 {
 			f.Set(r.Intn(f.Len()), r.Intn(100))
 		} else {
@@ -58,7 +59,7 @@ func diffMutate(r *rand.Rand, data []mergeable.Mergeable) {
 			q.Push(r.Intn(100))
 		}
 	case 3:
-		q := data[3].(*mergeable.FastQueue[int])
+		q := data[3].(*mergeable.Queue[int])
 		if r.Intn(3) == 0 {
 			q.PopFront()
 		} else {

@@ -85,10 +85,6 @@ type (
 	List[T any] = mergeable.List[T]
 	// Queue is a mergeable FIFO queue.
 	Queue[T any] = mergeable.Queue[T]
-	// FastList is List with copy-on-write storage: O(1) task copies.
-	FastList[T any] = mergeable.FastList[T]
-	// FastQueue is Queue with copy-on-write storage: O(1) task copies.
-	FastQueue[T any] = mergeable.FastQueue[T]
 	// Map is a mergeable key-value map.
 	Map[K comparable, V any] = mergeable.Map[K, V]
 	// Set is a mergeable mathematical set.
@@ -306,14 +302,6 @@ func NewList[T any](vals ...T) *List[T] { return mergeable.NewList(vals...) }
 
 // NewQueue returns a mergeable FIFO queue holding vals front-to-back.
 func NewQueue[T any](vals ...T) *Queue[T] { return mergeable.NewQueue(vals...) }
-
-// NewFastList returns a copy-on-write mergeable list holding vals. Prefer
-// it over NewList for large structures copied to many tasks: cloning is
-// O(1) instead of O(n).
-func NewFastList[T any](vals ...T) *FastList[T] { return mergeable.NewFastList(vals...) }
-
-// NewFastQueue returns a copy-on-write mergeable queue holding vals.
-func NewFastQueue[T any](vals ...T) *FastQueue[T] { return mergeable.NewFastQueue(vals...) }
 
 // NewMap returns an empty mergeable map.
 func NewMap[K comparable, V any]() *Map[K, V] { return mergeable.NewMap[K, V]() }
