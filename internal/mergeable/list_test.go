@@ -248,11 +248,41 @@ func TestQueueAdoptAndClone(t *testing.T) {
 	if err := other.AdoptFrom(NewCounter(0)); err == nil {
 		t.Fatalf("adopting foreign type should fail")
 	}
+	if err := other.ApplyRemote([]ot.Op{ot.RegisterSet{Value: 1}}); err == nil {
+		t.Fatalf("foreign op family should fail")
+	}
 	if other.Fingerprint() != q.Fingerprint() {
 		t.Fatalf("equal queues must share fingerprints")
 	}
+}
+
+// The TestFastQueue* and TestFastList* names come from the FastQueue and
+// FastList types, since folded into Queue and List; the tests run on those.
+
+// TestFastQueueCloneIsShared: a clone shares the parent's storage but not
+// its edits, and starts with a fresh log.
+func TestFastQueueCloneIsShared(t *testing.T) {
+	q := NewQueue(1, 2, 3)
+	c := q.CloneValue().(*Queue[int])
+	c.Push(4)
+	if q.Len() != 3 {
+		t.Fatalf("clone mutation leaked: %v", q.Values())
+	}
+	if c.Len() != 4 {
+		t.Fatalf("clone = %v", c.Values())
+	}
 	if len(c.Log().LocalOps()) != 1 {
 		t.Fatal("clone should start with a fresh log")
+	}
+}
+
+func TestFastQueueAdoptApplyErrors(t *testing.T) {
+	q := NewQueue(1)
+	if err := q.AdoptFrom(NewCounter(0)); err == nil {
+		t.Fatal("foreign adopt should fail")
+	}
+	if err := q.AdoptFrom(NewQueue(7, 8)); err != nil || !reflect.DeepEqual(q.Values(), []int{7, 8}) {
+		t.Fatalf("adopt: %v %v", err, q.Values())
 	}
 	for _, op := range []ot.Op{
 		ot.SeqInsert{Pos: 9, Elems: []any{1}},
@@ -260,11 +290,39 @@ func TestQueueAdoptAndClone(t *testing.T) {
 		ot.SeqDelete{Pos: 0, N: 9},
 		ot.SeqSet{Pos: 9, Elem: 1},
 		ot.SeqSet{Pos: 0, Elem: "bad"},
-		ot.RegisterSet{Value: 1},
+		ot.CounterAdd{Delta: 1},
 	} {
-		if err := other.ApplyRemote([]ot.Op{op}); err == nil {
+		if err := q.ApplyRemote([]ot.Op{op}); err == nil {
 			t.Errorf("apply %v should fail", op)
 		}
+	}
+}
+
+// TestFastQueueMergeSemantics replays the producer/consumer and
+// concurrent-pop merges on a queue whose consumed prefix is not yet
+// compacted, so merged ops land behind a nonzero head.
+func TestFastQueueMergeSemantics(t *testing.T) {
+	q := NewQueue(0, 1, 2)
+	q.PopFront()
+	producerM, base := spawnCopy(q)
+	producer := producerM.(*Queue[int])
+	producer.Push(3)
+	if v, _ := q.PopFront(); v != 1 {
+		t.Fatalf("popped %d", v)
+	}
+	mergeInto(t, q, producer, base)
+	if got := q.Values(); !reflect.DeepEqual(got, []int{2, 3}) {
+		t.Fatalf("merged queue = %v", got)
+	}
+
+	c1m, b1 := spawnCopy(q)
+	c2m, b2 := spawnCopy(q)
+	c1m.(*Queue[int]).PopFront()
+	c2m.(*Queue[int]).PopFront()
+	mergeInto(t, q, c1m, b1)
+	mergeInto(t, q, c2m, b2)
+	if got := q.Values(); !reflect.DeepEqual(got, []int{3}) {
+		t.Fatalf("concurrent pops should collapse: %v", got)
 	}
 }
 
@@ -336,20 +394,22 @@ func seqOpsAt(r *rand.Rand, p, n int) []ot.Op {
 	return ops
 }
 
-// seqUnderTest is what the slice-model test observes of List and Queue.
+// seqUnderTest is what the slice-model tests observe of List and Queue.
 type seqUnderTest interface {
 	Mergeable
 	Values() []int
 }
 
-// TestListQueueMatchSliceModel drives List and Queue beside a plain []int
-// model: random local edits, remote ops at every position (on a queue
-// whose consumed prefix reaches 64, so compaction runs), clones and
-// adopts that then diverge. After every step the values must equal the
-// model and the fingerprint that of a container freshly built from it.
-func TestListQueueMatchSliceModel(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	check := func(c seqUnderTest, m []int, fresh seqUnderTest) {
+// sliceModelHelpers returns the checks shared by the slice-model tests:
+// check demands c's values equal the model m and its fingerprint that of
+// fresh; remote applies op to c and returns the model after it; randomOp
+// picks a remote op valid on a length-n sequence.
+func sliceModelHelpers(t *testing.T, r *rand.Rand) (
+	check func(c seqUnderTest, m []int, fresh seqUnderTest),
+	remote func(c seqUnderTest, m []int, op ot.Op) []int,
+	randomOp func(n int) ot.Op,
+) {
+	check = func(c seqUnderTest, m []int, fresh seqUnderTest) {
 		t.Helper()
 		if got := c.Values(); !slices.Equal(got, m) {
 			t.Fatalf("%T values %v, model %v", c, got, m)
@@ -358,14 +418,28 @@ func TestListQueueMatchSliceModel(t *testing.T) {
 			t.Fatalf("%T fingerprint differs from a fresh container with values %v", c, m)
 		}
 	}
-	remote := func(c seqUnderTest, m []int, op ot.Op) []int {
+	remote = func(c seqUnderTest, m []int, op ot.Op) []int {
 		t.Helper()
 		if err := c.ApplyRemote([]ot.Op{op}); err != nil {
 			t.Fatalf("%T apply %v: %v", c, op, err)
 		}
 		return seqModel(m, op)
 	}
-	editList := func(l *List[int], m []int) []int {
+	randomOp = func(n int) ot.Op {
+		ops := seqOpsAt(r, r.Intn(n+1), n)
+		return ops[r.Intn(len(ops))]
+	}
+	return check, remote, randomOp
+}
+
+// TestFastListMatchesList drives List beside a plain []int model: random
+// local edits, remote ops at every position, clones and adopts that then
+// diverge. After every step the values must equal the model and the
+// fingerprint that of a list freshly built from it.
+func TestFastListMatchesList(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	check, remote, randomOp := sliceModelHelpers(t, r)
+	edit := func(l *List[int], m []int) []int {
 		n, v := len(m), r.Intn(1000)
 		switch {
 		case n == 0 || r.Intn(3) == 0:
@@ -384,11 +458,48 @@ func TestListQueueMatchSliceModel(t *testing.T) {
 			return m
 		}
 	}
-	randomOp := func(n int) ot.Op {
-		ops := seqOpsAt(r, r.Intn(n+1), n)
-		return ops[r.Intn(len(ops))]
+	for trial := 0; trial < 40; trial++ {
+		l, lm := NewList[int](), []int(nil)
+		for step := 0; step < 60; step++ {
+			lm = edit(l, lm)
+			lm = remote(l, lm, randomOp(len(lm)))
+			check(l, lm, NewList(lm...))
+			if step%20 != 0 {
+				continue
+			}
+			for p := 0; p <= len(lm); p++ {
+				for _, op := range seqOpsAt(r, p, len(lm)) {
+					c := l.CloneValue().(*List[int])
+					cm := remote(c, slices.Clone(lm), op)
+					check(c, cm, NewList(cm...))
+				}
+			}
+			// A clone and an adopter diverge from the original.
+			lc, la := l.CloneValue().(*List[int]), NewList(-1)
+			if la.AdoptFrom(l) != nil {
+				t.Fatal("adopt failed")
+			}
+			lcm, lam := edit(lc, slices.Clone(lm)), edit(la, slices.Clone(lm))
+			lm = edit(l, lm)
+			check(lc, lcm, NewList(lcm...))
+			check(la, lam, NewList(lam...))
+			check(l, lm, NewList(lm...))
+			if r.Intn(2) == 0 { // carry on with the clone
+				l, lm = lc, lcm
+			}
+		}
 	}
-	editQueue := func(q *Queue[int], m []int) []int {
+}
+
+// TestFastQueueMatchesQueue drives Queue beside a plain []int model:
+// pushes and pops, remote ops at every position on a queue whose consumed
+// prefix reaches 64 (so compaction runs), clones and adopts that then
+// diverge. After every step the values must equal the model and the
+// fingerprint that of a queue freshly built from it.
+func TestFastQueueMatchesQueue(t *testing.T) {
+	r := rand.New(rand.NewSource(6))
+	check, remote, randomOp := sliceModelHelpers(t, r)
+	edit := func(q *Queue[int], m []int) []int {
 		if len(m) == 0 || r.Intn(2) == 0 {
 			v := r.Intn(1000)
 			q.Push(v)
@@ -400,7 +511,6 @@ func TestListQueueMatchSliceModel(t *testing.T) {
 		return m[1:]
 	}
 	for trial := 0; trial < 40; trial++ {
-		l, lm := NewList[int](), []int(nil)
 		q := NewQueue[int]()
 		for i := 0; i < 200; i++ {
 			q.Push(i)
@@ -410,11 +520,8 @@ func TestListQueueMatchSliceModel(t *testing.T) {
 		}
 		qm := q.Values()
 		for step := 0; step < 60; step++ {
-			lm = editList(l, lm)
-			qm = editQueue(q, qm)
-			lm = remote(l, lm, randomOp(len(lm)))
+			qm = edit(q, qm)
 			qm = remote(q, qm, randomOp(len(qm)))
-			check(l, lm, NewList(lm...))
 			check(q, qm, NewQueue(qm...))
 			if step%20 != 0 {
 				continue
@@ -426,30 +533,18 @@ func TestListQueueMatchSliceModel(t *testing.T) {
 					check(c, cm, NewQueue(cm...))
 				}
 			}
-			for p := 0; p <= len(lm); p++ {
-				for _, op := range seqOpsAt(r, p, len(lm)) {
-					c := l.CloneValue().(*List[int])
-					cm := remote(c, slices.Clone(lm), op)
-					check(c, cm, NewList(cm...))
-				}
-			}
 			// A clone and an adopter diverge from the original.
-			lc, la := l.CloneValue().(*List[int]), NewList(-1)
 			qc, qa := q.CloneValue().(*Queue[int]), NewQueue(-1)
-			if la.AdoptFrom(l) != nil || qa.AdoptFrom(q) != nil {
+			if qa.AdoptFrom(q) != nil {
 				t.Fatal("adopt failed")
 			}
-			lcm, lam := editList(lc, slices.Clone(lm)), editList(la, slices.Clone(lm))
-			qcm, qam := editQueue(qc, slices.Clone(qm)), editQueue(qa, slices.Clone(qm))
-			lm, qm = editList(l, lm), editQueue(q, qm)
-			check(lc, lcm, NewList(lcm...))
-			check(la, lam, NewList(lam...))
+			qcm, qam := edit(qc, slices.Clone(qm)), edit(qa, slices.Clone(qm))
+			qm = edit(q, qm)
 			check(qc, qcm, NewQueue(qcm...))
 			check(qa, qam, NewQueue(qam...))
-			check(l, lm, NewList(lm...))
 			check(q, qm, NewQueue(qm...))
-			if r.Intn(2) == 0 { // carry on with the copies
-				l, lm, q, qm = lc, lcm, qa, qam
+			if r.Intn(2) == 0 { // carry on with the adopter
+				q, qm = qa, qam
 			}
 		}
 	}
