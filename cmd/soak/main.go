@@ -908,7 +908,7 @@ func taskProbeWith(seed int64, tr *repro.Tracer) uint64 {
 			return nil
 		}
 	}
-	if err := repro.RunObserved(tr, body(seed, 3), list, text, counter); err != nil {
+	if err := repro.RunWith(repro.RunConfig{Obs: tr}, body(seed, 3), list, text, counter); err != nil {
 		log.Fatalf("seed %d: task probe failed: %v", seed, err)
 	}
 	h := list.Fingerprint()

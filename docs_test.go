@@ -1,6 +1,8 @@
 package repro
 
 import (
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -12,8 +14,12 @@ import (
 // TestDocsCiteWhatExists keeps the documentation honest: every `go run ./…`
 // package and each -flag passed to it, every `make` target and every
 // Benchmark… function cited in README.md, DESIGN.md, EXPERIMENTS.md or the
-// verify skill must exist. Commands are read only from code spans and
-// fenced blocks, so prose such as "make the" is not taken for a target.
+// verify skill must exist, and so must every pkg.Name cited in a code span
+// of the first two or the skill (pkg being repro or a package directly
+// under internal/): a top-level declaration of its non-test files.
+// EXPERIMENTS.md is history and may name deleted code. Commands are read
+// only from code spans and fenced blocks, so prose such as "make the" is
+// not taken for a target.
 func TestDocsCiteWhatExists(t *testing.T) {
 	docs := []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"}
 
@@ -69,6 +75,25 @@ func TestDocsCiteWhatExists(t *testing.T) {
 		flagsOf[dir] = flags
 		return flags
 	}
+	declsOf := map[string]map[string]bool{} // package directory → top-level names
+	topLevel := func(dir string) map[string]bool {
+		if names, ok := declsOf[dir]; ok {
+			return names
+		}
+		names := map[string]bool{}
+		notTest := func(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }
+		pkgs, _ := parser.ParseDir(token.NewFileSet(), dir, notTest, 0)
+		for _, p := range pkgs {
+			for _, f := range p.Files {
+				for name := range f.Scope.Objects { // top-level, methods excluded
+					names[name] = true
+				}
+			}
+		}
+		declsOf[dir] = names
+		return names
+	}
+	cite := regexp.MustCompile(`\b([a-z]\w*)\.([A-Z]\w*)`)
 	makeRun := regexp.MustCompile(`\bmake ([a-z][\w-]*)`)
 	benchRef := regexp.MustCompile(`\bBenchmark[A-Z]\w*`)
 	for _, doc := range docs {
@@ -91,6 +116,18 @@ func TestDocsCiteWhatExists(t *testing.T) {
 					if !declared(m[1])[f[1]] {
 						t.Errorf("%s runs %q, but %s declares no flag -%s", doc, strings.TrimSpace(m[0]), m[1], f[1])
 					}
+				}
+			}
+			for _, m := range cite.FindAllStringSubmatch(span, -1) {
+				dir := filepath.Join("internal", m[1])
+				if m[1] == "repro" {
+					dir = "."
+				}
+				if fi, err := os.Stat(dir); doc == "EXPERIMENTS.md" || err != nil || !fi.IsDir() {
+					continue
+				}
+				if !topLevel(dir)[m[2]] {
+					t.Errorf("%s cites %s, which %s does not declare", doc, m[0], dir)
 				}
 			}
 			for _, m := range makeRun.FindAllStringSubmatch(span, -1) {

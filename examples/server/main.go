@@ -308,7 +308,7 @@ func main() {
 		listener.Close() // all clients done: stop accepting
 	}()
 
-	err := repro.RunObserved(tracer, func(ctx *repro.Ctx, data []repro.Mergeable) error {
+	err := repro.RunWith(repro.RunConfig{Obs: tracer}, func(ctx *repro.Ctx, data []repro.Mergeable) error {
 		ctx.Spawn(accept(listener), data...)
 		for {
 			if _, err := ctx.MergeAny(); err != nil {

@@ -31,7 +31,7 @@ func TestCompactRetainedByPolicy(t *testing.T) {
 		sc := Compact()
 		env := &Env{src: newSource(Trace{{Site: "compact.gc", N: 4, Pick: pick}}, nil, 4096)}
 		fn, data := sc.Build(env)
-		if err := task.RunWith(task.RunConfig{Jitter: env.src.pulse, History: env.history}, fn, data...); err != nil {
+		if err := task.RunWith(task.RunConfig{Decider: env, History: env.history}, fn, data...); err != nil {
 			t.Fatalf("pick %d: %v", pick, err)
 		}
 		env.runDeferred()

@@ -67,9 +67,9 @@ func (p *countProxy) Write(b []byte) (int, error) {
 	return n, err
 }
 
-// journalOpts builds one journaled run's options: the schedule's decision
-// trace drives fresh picks (journaled picks take precedence on resume)
-// and the source keeps pulsing the watchdog.
+// journalOpts builds one journaled run's options: the schedule's Env
+// decides fresh picks (journaled picks take precedence on resume) and
+// keeps pulsing the watchdog.
 func (cc *CrashCheck) journalOpts(env *Env, wrap func(io.Writer) io.Writer) journal.Options {
 	return journal.Options{
 		Encode:            cc.Encode,
@@ -80,8 +80,7 @@ func (cc *CrashCheck) journalOpts(env *Env, wrap func(io.Writer) io.Writer) jour
 		History:           env.history,
 		Stats:             cc.Stats,
 		WrapWriter:        wrap,
-		Choose:            env.chooser,
-		Jitter:            env.src.pulse,
+		Decider:           env,
 	}
 }
 

@@ -80,11 +80,18 @@ func Opaque(name string, f func() (uint64, error)) Scenario {
 }
 
 // Env is a schedule's view of its decision stream, handed to
-// Scenario.Build.
+// Scenario.Build. It is also the schedule's task.Decider: MergeAny picks
+// come from the stream, every blocking point pulses the stall watchdog,
+// and committed picks are recorded into script.
 type Env struct {
 	src      *Source
 	deferred []func()
 	history  task.HistoryGC
+	// script, when non-nil, records the committed picks; with replaying
+	// set it holds a recorded run's picks and forces them instead of the
+	// stream (the MergeAny cross-check).
+	script    *task.MergeScript
+	replaying bool
 }
 
 // Decide resolves a scenario-level decision point with n alternatives,
@@ -112,16 +119,30 @@ func (e *Env) runDeferred() {
 	e.deferred = nil
 }
 
-// chooser adapts the decision stream to the runtime's scheduler hook:
-// candidates arrive in creation order, so pick 0 is the deterministic
-// default and the decision's N is the fan-in of the merge.
-func (e *Env) chooser(parentPath string, candidates []uint64) (uint64, bool) {
+// Pick implements task.Decider from the decision stream: candidates
+// arrive in creation order, so pick 0 is the deterministic default and the
+// decision's N is the fan-in of the merge. A replaying Env forces the
+// script's picks and leaves the rest first-completed.
+func (e *Env) Pick(parentPath string, candidates []uint64) (uint64, bool) {
+	if e.replaying {
+		return e.script.Pick(parentPath, candidates)
+	}
 	pick := e.src.Choose("merge:"+parentPath, len(candidates))
 	if pick < 0 || pick >= len(candidates) {
 		pick = 0
 	}
 	return candidates[pick], true
 }
+
+// Picked implements task.Decider by recording the pick into script.
+func (e *Env) Picked(parentPath string, childSeq uint64) {
+	if e.script != nil {
+		e.script.Picked(parentPath, childSeq)
+	}
+}
+
+// Yield implements task.Decider by pulsing the stall watchdog.
+func (e *Env) Yield() { e.src.pulse() }
 
 // Violation kinds.
 const (
@@ -481,17 +502,21 @@ type schedOut struct {
 // runSchedule executes one schedule of sc driven by src, under the
 // bounded-progress watchdog. tracer, when non-nil, records the run's span
 // tree. replay, when non-nil, forces the recorded MergeAny picks through
-// the production replay path instead of the scheduler hook (the MergeAny
+// the production replay path instead of the decision stream (the MergeAny
 // cross-check).
 func runSchedule(sc Scenario, src *Source, opts Options, tracer *obs.Tracer, replay *task.MergeScript) schedOut {
 	if sc.opaque != nil {
 		fp, err := sc.opaque()
 		return schedOut{fp: fp, err: err}
 	}
-	env := &Env{src: src}
+	env := &Env{src: src, script: task.NewMergeScript()}
+	if replay != nil {
+		env.script, env.replaying = replay, true
+		replay.Rewind()
+	}
 	ch := make(chan schedOut, 1)
 	go func() {
-		out := schedOut{}
+		out := schedOut{script: env.script}
 		defer func() {
 			if r := recover(); r != nil {
 				out.err = fmt.Errorf("explore: scenario panicked: %v", r)
@@ -501,15 +526,7 @@ func runSchedule(sc Scenario, src *Source, opts Options, tracer *obs.Tracer, rep
 			ch <- out
 		}()
 		fn, data := sc.Build(env)
-		cfg := task.RunConfig{Jitter: src.pulse, Obs: tracer, History: env.history}
-		if replay != nil {
-			cfg.Replay = replay
-		} else {
-			out.script = task.NewMergeScript()
-			cfg.Choose = env.chooser
-			cfg.Record = out.script
-		}
-		out.err = task.RunWith(cfg, fn, data...)
+		out.err = task.RunWith(task.RunConfig{Decider: env, Obs: tracer, History: env.history}, fn, data...)
 		if out.err == nil {
 			out.fp = fingerprintOf(sc, data)
 		}
@@ -544,7 +561,7 @@ func fingerprintOf(sc Scenario, data []mergeable.Mergeable) uint64 {
 }
 
 // replayCheck re-runs the schedule with the recorded MergeAny picks
-// forced through the production replay path (task.RunConfig.Replay) and
+// forced through the production replay path (task.MergeScript) and
 // holds the outcome to the live one — the executable form of "a MergeAny
 // result is the result of some sequential pick order".
 func replayCheck(sc Scenario, opts Options, out schedOut) *Violation {

@@ -64,7 +64,7 @@ type Source struct {
 	overBudget   bool
 	// progress is the stall watchdog's pulse: bumped by every decision
 	// and by every blocking point of the merge protocol (via
-	// task.RunConfig.Jitter).
+	// Env.Yield).
 	progress atomic.Int64
 }
 

@@ -6,15 +6,16 @@
 // that replay property into a recovery mechanism:
 //
 //   - a write-ahead log durably records the run's initial snapshots, then
-//     every committed pick (streamed from the MergeScript sink before the
-//     corresponding merge applies) and every dist coordinator routing
-//     decision, each record length-prefixed and CRC32-framed;
+//     every committed pick (the journal is its run's task.Decider, whose
+//     Picked appends before the corresponding merge applies) and every
+//     dist coordinator routing decision, each record length-prefixed and
+//     CRC32-framed;
 //   - periodic checkpoints — post-merge snapshots of the root structures
 //     plus their fingerprint — are written atomically (tmp file, fsync,
 //     rename, directory fsync) every N root merges;
 //   - recovery truncates the WAL's torn tail, validates every CRC, loads
 //     the latest intact checkpoint, and resumes by re-running the program
-//     with the durable picks forced (task.RunRecoverable). The resumed
+//     with the durable picks forced (the journal's Pick). The resumed
 //     run re-traces the crashed one exactly — every prior checkpoint it
 //     passes is fingerprint-verified — and keeps journaling fresh picks
 //     from where the crash cut off, so a resumed run can itself crash and
@@ -93,16 +94,13 @@ type Options struct {
 	// gets the full span tree. Nil — the default — costs nothing.
 	Obs *obs.Tracer
 
-	// Choose, when non-nil, decides fresh MergeAny picks — ones the
-	// journal's own durable replay script does not cover — so the
-	// schedule explorer can pin a journaled run to an exact schedule.
-	// Journaled picks always take precedence on Resume.
-	Choose task.ChoiceFunc
-
-	// Jitter, when non-nil, is invoked at every blocking point of the
-	// merge protocol (see task.RunConfig.Jitter) — harnesses use it as a
-	// progress pulse for stall watchdogs.
-	Jitter func()
+	// Decider, when non-nil, decides fresh MergeAny picks — ones the
+	// journal's durable picks do not cover — so the schedule explorer can
+	// pin a journaled run to an exact schedule. Journaled picks always
+	// take precedence on Resume. It observes every committed pick and
+	// yields at every blocking point of the merge protocol, as the run's
+	// own decider would.
+	Decider task.Decider
 
 	// History tunes the task runtime's op-log garbage collector for the
 	// journaled run (see task.HistoryGC). The zero value trims eagerly —
@@ -160,17 +158,6 @@ type Recovery struct {
 	Fingerprint uint64
 }
 
-// Script rebuilds the durable picks as a replayable MergeScript.
-func (r *Recovery) Script() *task.MergeScript {
-	s := task.NewMergeScript()
-	for path, seqs := range r.Picks {
-		for _, seq := range seqs {
-			s.Append(path, seq)
-		}
-	}
-	return s
-}
-
 // Journal is an open journal: a WAL accepting appends plus the state
 // recovered from it. Safe for concurrent use — picks and routes arrive
 // from the merge paths of many tasks at once.
@@ -187,11 +174,14 @@ type Journal struct {
 	// accumulated anchor state a rotation snapshots — the run's initial
 	// snapshots and every durable pick per path. snaps doubles as the
 	// rotation gate: until the inputs record is durable there is nothing
-	// an anchor could carry, so rotation stays off.
+	// an anchor could carry, so rotation stays off. cursor counts the
+	// picks this run committed per path: below len(picks[path]) a resumed
+	// run is still re-tracing durable picks.
 	seg      int
 	segBytes int64
 	snaps    []NamedSnapshot
 	picks    map[string][]uint64
+	cursor   map[string]int
 	// dead is the first write failure; once set, the journal drops every
 	// later append. The in-memory run continues (the process "died" only
 	// as far as durability is concerned — exactly a crash simulation) and
@@ -200,16 +190,11 @@ type Journal struct {
 	// diverged is the first resume divergence (see ErrDiverged).
 	diverged error
 
-	// Recovered state driving a resume. recPicks/cursor implement the
-	// sink's replay-dedupe: the first len(recPicks[p]) picks a resumed
-	// run makes for path p are already durable — they are verified
-	// against the record instead of re-appended.
+	// Recovered state driving a resume.
 	rec     *Recovery
-	cursor  map[string]int
 	routes  map[string]int       // slot -> last recorded node (recovered + live)
 	members map[uint64]MemberRec // epoch -> transition (recovered + live)
 	ckpts   map[int]uint64       // intact prior checkpoints, for verification
-	record  *task.MergeScript
 }
 
 // MemberRec is one durable cluster membership transition (see the dist
@@ -534,8 +519,8 @@ func (j *Journal) recoverSegment(s segFile) error {
 	}
 	if latest != nil {
 		rec.Latest = latest.Index
-		// The checkpoint's script must be a prefix of the WAL's picks: the
-		// sink runs write-ahead of every merge, so an intact checkpoint
+		// The checkpoint's script must be a prefix of the WAL's picks:
+		// Picked writes ahead of every merge, so an intact checkpoint
 		// can never know picks the WAL lost. A violation means the files
 		// are from different runs or the bytes lie.
 		snap := task.NewMergeScript()
@@ -665,12 +650,27 @@ func (j *Journal) decodeInputs() ([]mergeable.Mergeable, error) {
 	return data, nil
 }
 
-// pickSink is the MergeScript streaming sink: the write-ahead append for
-// every committed non-deterministic pick. During a resume, picks that are
-// already durable are verified against the record instead of re-appended
-// — per-path order is deterministic under replay, so position k in the
-// resumed run must equal position k in the WAL.
-func (j *Journal) pickSink(path string, seq uint64) {
+// Pick implements task.Decider for the journal's run: a resumed run
+// re-traces the durable picks path by path, and past them Options.Decider
+// (if any) decides.
+func (j *Journal) Pick(path string, candidates []uint64) (uint64, bool) {
+	j.mu.Lock()
+	i, durable := j.cursor[path], j.picks[path]
+	j.mu.Unlock()
+	if i < len(durable) {
+		return durable[i], true
+	}
+	if d := j.opts.Decider; d != nil {
+		return d.Pick(path, candidates)
+	}
+	return 0, false
+}
+
+// Picked implements task.Decider: the write-ahead append for every
+// committed pick. A pick a resumed run re-traces is already durable — the
+// runtime only commits what Pick forced — so it is counted, not
+// re-appended.
+func (j *Journal) Picked(path string, seq uint64) {
 	// Pick spans live on per-path tracks ("wal/<parent path>"): the global
 	// WAL append order interleaves scheduling-dependently across parents,
 	// but each parent's own pick sequence is deterministic under replay —
@@ -681,28 +681,35 @@ func (j *Journal) pickSink(path string, seq uint64) {
 		start = time.Now()
 	}
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.rec != nil {
-		if i := j.cursor[path]; i < len(j.rec.Picks[path]) {
-			j.cursor[path] = i + 1
-			if want := j.rec.Picks[path][i]; want != seq && j.diverged == nil {
-				j.diverged = DivergedError{Detail: fmt.Sprintf("pick %d for %s: journal has child seq %d, resumed run chose %d", i, path, want, seq)}
-			}
-			j.counters.Inc("pick_replayed")
+	i := j.cursor[path]
+	j.cursor[path] = i + 1
+	if i < len(j.picks[path]) {
+		j.counters.Inc("pick_replayed")
+		if tr != nil {
+			tr.Emit("wal/"+path, obs.KindReplay, "pick", -1, int64(seq), time.Since(start))
+		}
+	} else {
+		// Accumulate before appending so a rotation triggered by this very
+		// append snapshots an anchor that already includes the pick.
+		j.picks[path] = append(j.picks[path], seq)
+		if j.appendLocked(recPick, pickRec{Path: path, Seq: seq}) == nil {
+			j.counters.Inc("pick_recorded")
 			if tr != nil {
-				tr.Emit("wal/"+path, obs.KindReplay, "pick", -1, int64(seq), time.Since(start))
+				tr.Emit("wal/"+path, obs.KindAppend, "pick", -1, int64(seq), time.Since(start))
 			}
-			return
 		}
 	}
-	// Accumulate before appending so a rotation triggered by this very
-	// append snapshots an anchor that already includes the pick.
-	j.picks[path] = append(j.picks[path], seq)
-	if j.appendLocked(recPick, pickRec{Path: path, Seq: seq}) == nil {
-		j.counters.Inc("pick_recorded")
-		if tr != nil {
-			tr.Emit("wal/"+path, obs.KindAppend, "pick", -1, int64(seq), time.Since(start))
-		}
+	j.mu.Unlock()
+	if d := j.opts.Decider; d != nil {
+		d.Picked(path, seq)
+	}
+}
+
+// Yield implements task.Decider by handing the blocking point to
+// Options.Decider.
+func (j *Journal) Yield() {
+	if d := j.opts.Decider; d != nil {
+		d.Yield()
 	}
 }
 
@@ -780,15 +787,6 @@ func (j *Journal) onRootMerge(data []mergeable.Mergeable, n int) {
 	if every == 0 || n%every != 0 {
 		return
 	}
-	// Snapshot the script before taking j.mu: the sink runs under the
-	// script's own lock and then takes j.mu, so the reverse nesting here
-	// would deadlock. Taking the snapshot first only makes the checkpoint
-	// conservative — picks landing in between are in the WAL but not in
-	// the snapshot, preserving the prefix invariant.
-	var script []byte
-	if j.record != nil {
-		script = j.record.Snapshot()
-	}
 	tr := j.opts.Obs
 	var start time.Time
 	if tr != nil {
@@ -820,7 +818,15 @@ func (j *Journal) onRootMerge(data []mergeable.Mergeable, n int) {
 		j.dead = err
 		return
 	}
-	if err := j.writeCheckpoint(ckptPayload{Index: n, Script: script, Snaps: snaps, Fingerprint: fp}); err != nil {
+	// The checkpoint's script is the picks this run has committed so far,
+	// a prefix of the durable ones.
+	script := task.NewMergeScript()
+	for path, k := range j.cursor {
+		for _, seq := range j.picks[path][:k] {
+			script.Picked(path, seq)
+		}
+	}
+	if err := j.writeCheckpoint(ckptPayload{Index: n, Script: script.Snapshot(), Snaps: snaps, Fingerprint: fp}); err != nil {
 		j.dead = err
 		return
 	}

@@ -4,12 +4,15 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/dist"
 	"repro/internal/mergeable"
 	"repro/internal/stats"
 	"repro/internal/task"
+	"repro/internal/testutil"
 )
 
 func init() {
@@ -150,30 +153,45 @@ func TestRunJournalsAndSeals(t *testing.T) {
 	}
 }
 
-// TestReplayExactForOrderSensitivePicks: with the COMPLETE pick script
-// durable, replay is exact even for a workload whose result is the pick
-// order itself.
-func TestReplayExactForOrderSensitivePicks(t *testing.T) {
+// scriptOf returns a script that forces the root's picks in the given
+// order.
+func scriptOf(seqs ...uint64) *task.MergeScript {
+	s := task.NewMergeScript()
+	for _, seq := range seqs {
+		s.Picked("r", seq)
+	}
+	s.Rewind()
+	return s
+}
+
+// orderJournal journals orderWorkload with Options.Decider forcing the
+// picks 5,4,...,0 and returns the journal's directory.
+func orderJournal(t *testing.T) string {
 	dir := t.TempDir()
-	data := orderData()
-	if err := Run(dir, testOptions(), orderWorkload, data...); err != nil {
+	opts := testOptions()
+	opts.Decider = scriptOf(5, 4, 3, 2, 1, 0)
+	if err := Run(dir, opts, orderWorkload, orderData()...); err != nil {
 		t.Fatal(err)
 	}
-	want := data[0].(*mergeable.List[int]).Values()
+	return dir
+}
 
+// TestReplayExactForOrderSensitivePicks: with the COMPLETE pick script
+// durable, replay is exact even for a workload whose result is the pick
+// order itself — and the journaled picks take precedence over an
+// Options.Decider that would force the opposite order.
+func TestReplayExactForOrderSensitivePicks(t *testing.T) {
+	dir := orderJournal(t)
+	want := []int{5, 4, 3, 2, 1, 0}
+	opts := testOptions()
 	for i := 0; i < 3; i++ {
-		out, err := Resume(dir, testOptions(), orderWorkload)
+		opts.Decider = scriptOf(0, 1, 2, 3, 4, 5)
+		out, err := Resume(dir, opts, orderWorkload)
 		if err != nil {
 			t.Fatalf("resume %d: %v", i, err)
 		}
-		got := out[0].(*mergeable.List[int]).Values()
-		if len(got) != len(want) {
-			t.Fatalf("resume %d: list %v, want %v", i, got, want)
-		}
-		for k := range want {
-			if got[k] != want[k] {
-				t.Fatalf("resume %d: list %v, want %v (pick order not reproduced)", i, got, want)
-			}
+		if got := out[0].(*mergeable.List[int]).Values(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("resume %d: list %v, want %v (pick order not reproduced)", i, got, want)
 		}
 	}
 }
@@ -194,32 +212,33 @@ func TestCreateRefusesExistingRun(t *testing.T) {
 // a journal whose picks and checkpoints describe the old one must report
 // ErrDiverged (or fail outright), never silently succeed.
 func TestResumeDivergenceDetected(t *testing.T) {
-	dir := t.TempDir()
-	data := orderData()
-	if err := Run(dir, testOptions(), orderWorkload, data...); err != nil {
-		t.Fatal(err)
-	}
-	changed := func(ctx *task.Ctx, data []mergeable.Mergeable) error {
-		for c := 0; c < 6; c++ {
-			id := 100 + c // different values -> different fingerprints
-			ctx.Spawn(func(_ *task.Ctx, d []mergeable.Mergeable) error {
-				d[0].(*mergeable.List[int]).Append(id)
-				return nil
-			}, data...)
-		}
-		for c := 0; c < 6; c++ {
-			if _, err := ctx.MergeAny(); err != nil {
-				return err
+	dir := orderJournal(t)
+	changed := func(children int) task.Func {
+		return func(ctx *task.Ctx, data []mergeable.Mergeable) error {
+			for c := 0; c < children; c++ {
+				id := 100 + c // different values -> different fingerprints
+				ctx.Spawn(func(_ *task.Ctx, d []mergeable.Mergeable) error {
+					d[0].(*mergeable.List[int]).Append(id)
+					return nil
+				}, data...)
 			}
+			for c := 0; c < children; c++ {
+				if _, err := ctx.MergeAny(); err != nil {
+					return err
+				}
+			}
+			return nil
 		}
-		return nil
 	}
-	_, err := Resume(dir, testOptions(), changed)
-	if err == nil {
-		t.Fatal("resume with a changed program succeeded")
-	}
-	if !errors.Is(err, ErrDiverged) {
-		t.Fatalf("resume with a changed program = %v, want ErrDiverged", err)
+	// Six children: every journaled pick exists, the fingerprints differ.
+	// Two children: the first journaled pick names a child the program
+	// never spawns, so the forced merge fails instead of waiting for it.
+	for _, children := range []int{6, 2} {
+		testutil.WithTimeout(t, 30*time.Second, func() {
+			if _, err := Resume(dir, testOptions(), changed(children)); !errors.Is(err, ErrDiverged) {
+				t.Fatalf("resume with a changed %d-child program = %v, want ErrDiverged", children, err)
+			}
+		})
 	}
 }
 

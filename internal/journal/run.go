@@ -30,7 +30,7 @@ func Run(dir string, opts Options, fn task.Func, data ...mergeable.Mergeable) er
 	if opts.OnOpen != nil {
 		opts.OnOpen(j)
 	}
-	return j.execute(nil, fn, data)
+	return j.execute(fn, data)
 }
 
 // Resume recovers the journal in dir and re-runs fn over the recovered
@@ -55,24 +55,21 @@ func Resume(dir string, opts Options, fn task.Func) ([]mergeable.Mergeable, erro
 	if opts.OnOpen != nil {
 		opts.OnOpen(j)
 	}
-	if err := j.execute(j.rec.Script(), fn, data); err != nil {
+	if err := j.execute(fn, data); err != nil {
+		if errors.Is(err, task.ErrBadPick) {
+			err = DivergedError{Detail: err.Error()}
+		}
 		return nil, err
 	}
 	return data, nil
 }
 
-// execute runs fn with the journal's full hook set (recovery picks,
-// streaming record sink, checkpoint cadence, span tracer), then seals or
-// verifies the done record.
-func (j *Journal) execute(replay *task.MergeScript, fn task.Func, data []mergeable.Mergeable) error {
-	record := task.NewMergeScript()
-	record.SetSink(j.pickSink)
-	j.record = record
+// execute runs fn with the journal as its decider (durable picks first,
+// write-ahead pick records), the checkpoint cadence and the span tracer,
+// then seals or verifies the done record.
+func (j *Journal) execute(fn task.Func, data []mergeable.Mergeable) error {
 	runErr := task.RunWith(task.RunConfig{
-		Replay:      replay,
-		Record:      record,
-		Choose:      j.opts.Choose,
-		Jitter:      j.opts.Jitter,
+		Decider:     j,
 		OnRootMerge: j.onRootMerge,
 		Obs:         j.opts.Obs,
 		History:     j.opts.History,

@@ -337,7 +337,6 @@ func FuzzSegmentRecover(f *testing.F) {
 		if _, err := j.decodeInputs(); err != nil && !classified(err) {
 			t.Fatalf("decodeInputs: unclassified error: %v", err)
 		}
-		j.Recovery().Script()
 		j.Close()
 		// Open truncated tails and dropped artifacts: a second pass must
 		// see a recoverable directory again.

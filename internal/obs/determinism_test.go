@@ -37,7 +37,7 @@ func tracedProgram() (*obs.Tracer, error) {
 	tr := obs.New()
 	l := mergeable.NewList(1, 2, 3)
 	c := mergeable.NewCounter(0)
-	err := task.RunObserved(tr, func(ctx *task.Ctx, d []mergeable.Mergeable) error {
+	err := task.RunWith(task.RunConfig{Obs: tr}, func(ctx *task.Ctx, d []mergeable.Mergeable) error {
 		for i := 0; i < 4; i++ {
 			i := i
 			ctx.Spawn(func(ctx *task.Ctx, d []mergeable.Mergeable) error {

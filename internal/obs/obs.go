@@ -12,8 +12,7 @@
 // program therefore produce bit-identical span trees, on any GOMAXPROCS;
 // only the recorded durations differ. Diffing a failing run's tree
 // against a good one localizes the divergence to the exact merge (or RPC,
-// or WAL record) where behavior forked — the debugging story of
-// task.Trace, extended from merge outcomes to the whole runtime.
+// or WAL record) where behavior forked.
 //
 // Tracks keep ordering deterministic without global sequencing: every
 // span lives on a track whose spans are emitted by a single logical

@@ -149,7 +149,7 @@ func TestCompactionDifferential(t *testing.T) {
 				script := NewMergeScript()
 				trOff := obs.New()
 				if err := RunWith(RunConfig{
-					Record:  script,
+					Decider: script,
 					Obs:     trOff,
 					History: HistoryGC{Disable: true},
 				}, diffBody(seed, 3), off...); err != nil {
@@ -160,7 +160,7 @@ func TestCompactionDifferential(t *testing.T) {
 				on := diffData()
 				trOn := obs.New()
 				if err := RunWith(RunConfig{
-					Replay:  script,
+					Decider: script,
 					Obs:     trOn,
 					History: HistoryGC{Slack: slack},
 				}, diffBody(seed, 3), on...); err != nil {
@@ -211,7 +211,7 @@ func TestCompactionDifferentialAcrossProcs(t *testing.T) {
 		off := diffData()
 		script := NewMergeScript()
 		runtime.GOMAXPROCS(4)
-		if err := RunWith(RunConfig{Record: script, History: HistoryGC{Disable: true}}, diffBody(seed, 3), off...); err != nil {
+		if err := RunWith(RunConfig{Decider: script, History: HistoryGC{Disable: true}}, diffBody(seed, 3), off...); err != nil {
 			t.Fatalf("seed %d: recording run: %v", seed, err)
 		}
 		want := make([]uint64, len(off))
@@ -221,7 +221,7 @@ func TestCompactionDifferentialAcrossProcs(t *testing.T) {
 		for _, procs := range []int{1, 4} {
 			runtime.GOMAXPROCS(procs)
 			on := diffData()
-			if err := RunWith(RunConfig{Replay: script, History: HistoryGC{}}, diffBody(seed, 3), on...); err != nil {
+			if err := RunWith(RunConfig{Decider: script, History: HistoryGC{}}, diffBody(seed, 3), on...); err != nil {
 				t.Fatalf("seed %d procs %d: GC-on replay: %v", seed, procs, err)
 			}
 			for i := range on {

@@ -24,6 +24,14 @@ var (
 	// into a livelock instead.
 	ErrNothingToMerge = errors.New("task: no child task to merge")
 
+	// ErrBadPick is returned by MergeAny and MergeAnyFromSet when the
+	// run's Decider forced a pick the merge cannot honour: for
+	// MergeAnyFromSet a child outside the set's unmerged members, for
+	// MergeAny a child that is not live once every live child is waiting
+	// to be merged (none is left running to clone it). Replaying a script
+	// against a program that changed is the usual cause.
+	ErrBadPick = errors.New("task: decider picked a child the merge cannot take")
+
 	// ErrNotChild is returned when a merge names a task that is not a
 	// child of the caller (the wait graph must remain a tree).
 	ErrNotChild = errors.New("task: not a child of the calling task")

@@ -104,7 +104,7 @@ func TestRuntimeDeterminismFuzzPooled(t *testing.T) {
 			l := mergeable.NewList(1, 2, 3)
 			c := mergeable.NewCounter(0)
 			tx := mergeable.NewText("seed")
-			if err := RunPooled(pool, fuzzTask(seed, 3), l, c, tx); err != nil {
+			if err := RunWith(RunConfig{MaxParallel: pool}, fuzzTask(seed, 3), l, c, tx); err != nil {
 				panic(err)
 			}
 			return mergeable.CombineFingerprints(l.Fingerprint(), c.Fingerprint(), tx.Fingerprint())

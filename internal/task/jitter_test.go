@@ -20,15 +20,12 @@ import (
 func runJittered(seed int64, fn Func, data ...mergeable.Mergeable) error {
 	var mu sync.Mutex
 	r := rand.New(rand.NewSource(seed))
-	rt := &treeRuntime{jitter: func() {
+	return RunWith(RunConfig{Decider: testDecider{yield: func() {
 		mu.Lock()
 		d := time.Duration(r.Intn(300)) * time.Microsecond
 		mu.Unlock()
 		time.Sleep(d)
-	}}
-	root := newTask(nil, fn, data, nil, nil, nil, rt)
-	root.run()
-	return root.err
+	}}}, fn, data...)
 }
 
 // TestJitteredDeterminism runs the fuzz scenario under injected runtime

@@ -196,11 +196,19 @@ func (t *Task) mergeSet(tasks []*Task, cfg *mergeConfig) error {
 
 // mergeAnyDynamic waits for the first of t's children — including ones
 // registered while waiting, e.g. clones — to become quiescent and merges
-// only it.
+// only it, unless the run's decider forces the pick.
 func (t *Task) mergeAnyDynamic(cfg *mergeConfig) (*Task, error) {
-	c := t.scriptedPick()
-	if c == nil {
-		c = t.chosenPick(nil)
+	d := t.runtime.decider
+	var c *Task
+	if d != nil {
+		live := t.liveChildren()
+		if len(live) == 0 {
+			return nil, ErrNothingToMerge
+		}
+		var err error
+		if c, err = t.forcedPick(d, live, false); err != nil {
+			return nil, err
+		}
 	}
 	if c == nil {
 		if len(t.pendingList) > 0 {
@@ -215,14 +223,16 @@ func (t *Task) mergeAnyDynamic(cfg *mergeConfig) (*Task, error) {
 			c = t.recvReady()
 		}
 	}
-	t.recordPick(c)
+	if d != nil {
+		d.Picked(t.spanTrack(), c.seq)
+	}
 	err := t.mergeChild(c, cfg)
 	t.trimHistories()
 	return c, err
 }
 
 // mergeAny waits for the first of the given children to become quiescent
-// and merges only it.
+// and merges only it, unless the run's decider forces the pick.
 func (t *Task) mergeAny(tasks []*Task, cfg *mergeConfig) (*Task, error) {
 	live := make(map[*Task]bool, len(tasks))
 	for _, c := range tasks {
@@ -233,14 +243,20 @@ func (t *Task) mergeAny(tasks []*Task, cfg *mergeConfig) (*Task, error) {
 	if len(live) == 0 {
 		return nil, ErrNothingToMerge
 	}
-	c := t.scriptedPick()
-	if c == nil {
-		c = t.chosenPick(live)
+	d := t.runtime.decider
+	var c *Task
+	if d != nil {
+		var err error
+		if c, err = t.forcedPick(d, sortedBySeq(live), true); err != nil {
+			return nil, err
+		}
 	}
 	if c == nil {
 		c = t.awaitAny(live)
 	}
-	t.recordPick(c)
+	if d != nil {
+		d.Picked(t.spanTrack(), c.seq)
+	}
 	err := t.mergeChild(c, cfg)
 	t.trimHistories()
 	return c, err
@@ -464,7 +480,7 @@ func (t *Task) mergeChild(c *Task, cfg *mergeConfig) error {
 		}
 	}
 
-	if t.runtime.tracer != nil || tr != nil {
+	if tr != nil {
 		outcome := "merged"
 		switch {
 		case aborted:
@@ -474,12 +490,7 @@ func (t *Task) mergeChild(c *Task, cfg *mergeConfig) error {
 		case discard:
 			outcome = "rejected"
 		}
-		if t.runtime.tracer != nil {
-			t.runtime.tracer.record(t, c, ph != phaseCompleted, outcome, appliedOps)
-		}
-		if tr != nil {
-			tr.End(mtrack, mseq, c.spanTrack()+" "+outcome, int64(appliedOps), mstart)
-		}
+		tr.End(mtrack, mseq, c.spanTrack()+" "+outcome, int64(appliedOps), mstart)
 	}
 
 	if ph == phaseCompleted {

@@ -17,7 +17,7 @@ func TestRunPooledBoundsParallelism(t *testing.T) {
 	testutil.WithTimeout(t, 30*time.Second, func() {
 		const limit = 2
 		var running, maxRunning atomic.Int64
-		err := RunPooled(limit, func(ctx *Ctx, data []mergeable.Mergeable) error {
+		err := RunWith(RunConfig{MaxParallel: limit}, func(ctx *Ctx, data []mergeable.Mergeable) error {
 			for i := 0; i < 8; i++ {
 				ctx.Spawn(func(ctx *Ctx, data []mergeable.Mergeable) error {
 					n := running.Add(1)
@@ -72,7 +72,7 @@ func TestRunPooledMatchesRun(t *testing.T) {
 		for _, pool := range []int{1, 2, 3, 16} {
 			pool := pool
 			got := scenario(func(fn Func, data ...mergeable.Mergeable) error {
-				return RunPooled(pool, fn, data...)
+				return RunWith(RunConfig{MaxParallel: pool}, fn, data...)
 			})
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("pool %d: %v != %v", pool, got, want)
@@ -87,7 +87,7 @@ func TestRunPooledMatchesRun(t *testing.T) {
 func TestRunPooledSyncLoops(t *testing.T) {
 	testutil.WithTimeout(t, 30*time.Second, func() {
 		c := mergeable.NewCounter(0)
-		err := RunPooled(1, func(ctx *Ctx, data []mergeable.Mergeable) error {
+		err := RunWith(RunConfig{MaxParallel: 1}, func(ctx *Ctx, data []mergeable.Mergeable) error {
 			cnt := data[0].(*mergeable.Counter)
 			for i := 0; i < 4; i++ {
 				ctx.Spawn(func(ctx *Ctx, data []mergeable.Mergeable) error {
@@ -116,10 +116,9 @@ func TestRunPooledSyncLoops(t *testing.T) {
 	})
 }
 
-// TestRunPooledClamp covers the degenerate pool size.
+// TestRunPooledClamp: a MaxParallel below one leaves the run unbounded.
 func TestRunPooledClamp(t *testing.T) {
-	err := RunPooled(0, func(ctx *Ctx, data []mergeable.Mergeable) error { return nil })
-	if err != nil {
+	if _, err := anyScenario(RunConfig{MaxParallel: -1}, 4); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-
-	"repro/internal/mergeable"
 )
 
 // Record & replay for the non-deterministic merges. Programs built only
@@ -19,27 +17,67 @@ import (
 // recorded execution bit for bit. This extends the paper's debugging
 // story to the programs that deliberately left determinism behind.
 
-// MergeScript is the recorded sequence of non-deterministic merge picks.
-// Children are identified by their creation path (per-parent creation
-// sequence numbers from the root), which is stable across runs of the
-// same program; task IDs are not.
+// MergeScript is the recorded sequence of non-deterministic merge picks,
+// and the Decider that replays and records them. Children are identified
+// by their creation path (per-parent creation sequence numbers from the
+// root), which is stable across runs of the same program; task IDs are
+// not. A run driven by a script forces its recorded picks path by path
+// and appends every pick past them, so one script replays its prefix and
+// keeps recording after it; an empty script simply records.
 //
 // A script is safe for concurrent use: pooled and fan-out-heavy programs
-// reach record/next from the merge paths of many tasks at once.
+// reach it from the merge paths of many tasks at once.
 type MergeScript struct {
 	mu      sync.Mutex
 	picks   map[string][]uint64 // parent path -> child seqs in pick order
-	cursors map[string]int      // replay progress per parent path
-	// sink, when set, observes every recorded pick as it commits — the
-	// journal's streaming write-ahead hook. It is invoked under mu, so
-	// per-path pick order in the sink matches script order exactly; the
-	// sink must not call back into the script.
-	sink func(path string, childSeq uint64)
+	cursors map[string]int      // picks committed per path in this run
 }
 
-// NewMergeScript returns an empty script for RunRecording to fill.
+// NewMergeScript returns an empty script.
 func NewMergeScript() *MergeScript {
-	return &MergeScript{picks: make(map[string][]uint64)}
+	return &MergeScript{}
+}
+
+// Pick implements Decider: the path's next recorded pick, if any.
+func (s *MergeScript) Pick(parentPath string, _ []uint64) (uint64, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	i, p := s.cursors[parentPath], s.picks[parentPath]
+	if i >= len(p) {
+		return 0, false
+	}
+	return p[i], true
+}
+
+// Picked implements Decider. Within the recorded picks the runtime only
+// commits what Pick forced, so the cursor moves past it; past them the
+// pick is fresh and appended.
+func (s *MergeScript) Picked(parentPath string, childSeq uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.picks == nil {
+		s.picks = make(map[string][]uint64)
+	}
+	if s.cursors == nil {
+		s.cursors = make(map[string]int)
+	}
+	i := s.cursors[parentPath]
+	if i == len(s.picks[parentPath]) {
+		s.picks[parentPath] = append(s.picks[parentPath], childSeq)
+	}
+	s.cursors[parentPath] = i + 1
+}
+
+// Yield implements Decider; a script leaves the schedule alone.
+func (s *MergeScript) Yield() {}
+
+// Rewind moves every path back to its first recorded pick, so the script
+// drives another replay. RunWith rewinds a script installed as its
+// Decider.
+func (s *MergeScript) Rewind() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.cursors = nil
 }
 
 // Len returns the total number of recorded picks.
@@ -51,26 +89,6 @@ func (s *MergeScript) Len() int {
 		n += len(p)
 	}
 	return n
-}
-
-// SetSink installs a streaming observer invoked for every pick as it is
-// recorded (see the field comment). Passing nil removes the sink. Install
-// it before the run starts; swapping sinks mid-run is not supported.
-func (s *MergeScript) SetSink(sink func(path string, childSeq uint64)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sink = sink
-}
-
-// Append records a pick from outside a run — journal recovery uses it to
-// rebuild a script from durable pick records. The sink is not invoked.
-func (s *MergeScript) Append(path string, childSeq uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.picks == nil {
-		s.picks = make(map[string][]uint64)
-	}
-	s.picks[path] = append(s.picks[path], childSeq)
 }
 
 // Picks returns a deep copy of the recorded picks, keyed by parent path.
@@ -125,122 +143,4 @@ func (s *MergeScript) Restore(data []byte) error {
 	}
 	s.cursors = nil
 	return nil
-}
-
-// record appends a pick made by the parent at path.
-func (s *MergeScript) record(path string, childSeq uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.picks[path] = append(s.picks[path], childSeq)
-	if s.sink != nil {
-		s.sink(path, childSeq)
-	}
-}
-
-// next pops the parent's next scripted pick. ok is false when the script
-// has no (further) picks for this parent — the caller falls back to live
-// first-completed behavior.
-func (s *MergeScript) next(path string) (childSeq uint64, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.cursors == nil {
-		s.cursors = make(map[string]int)
-	}
-	i := s.cursors[path]
-	p := s.picks[path]
-	if i >= len(p) {
-		return 0, false
-	}
-	s.cursors[path] = i + 1
-	return p[i], true
-}
-
-// resetCursors rewinds the script so it can drive another replay.
-func (s *MergeScript) resetCursors() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cursors = nil
-}
-
-// RunRecording is Run that additionally records every MergeAny /
-// MergeAnyFromSet decision into script. The recorded run behaves exactly
-// like a plain Run.
-func RunRecording(script *MergeScript, fn Func, data ...mergeable.Mergeable) error {
-	return RunWith(RunConfig{Record: script}, fn, data...)
-}
-
-// RunReplaying is Run with every MergeAny / MergeAnyFromSet decision
-// forced to follow script (recorded by RunRecording from the same program
-// with the same inputs). Replayed runs reproduce the recorded execution's
-// results exactly. When the script runs dry — e.g. the program made more
-// merges this time — the merges fall back to live first-completed
-// behavior.
-func RunReplaying(script *MergeScript, fn Func, data ...mergeable.Mergeable) error {
-	return RunWith(RunConfig{Replay: script}, fn, data...)
-}
-
-// RootMergeHook observes the root task's data after each of its merges.
-// It is invoked on the root goroutine — the only mutator of the root
-// structures — with the merge's ordinal (1-based, deterministic under
-// replay), so implementations may read the structures freely but must not
-// retain references past the call. The journal's checkpoint writer is the
-// intended implementation.
-type RootMergeHook func(data []mergeable.Mergeable, rootMerges int)
-
-// RunRecoverable is the journal's entry point: Run with the full recovery
-// hook set. replay, when non-nil, forces the recorded picks (as in
-// RunReplaying, including the live fallback once a path's picks are
-// exhausted); record, when non-nil, captures every pick — replayed or
-// fresh — firing its streaming sink (so a resumed run keeps journaling
-// where the crashed one stopped); hook, when non-nil, observes the root's
-// data after every root-level merge (the checkpoint cadence).
-func RunRecoverable(replay, record *MergeScript, hook RootMergeHook, fn Func, data ...mergeable.Mergeable) error {
-	return RunWith(RunConfig{Replay: replay, Record: record, OnRootMerge: hook}, fn, data...)
-}
-
-// path returns the task's stable identity: the chain of per-parent
-// creation sequence numbers from the root.
-func (t *Task) path() string {
-	if t.parent == nil {
-		return "r"
-	}
-	return fmt.Sprintf("%s/%d", t.parent.path(), t.seq)
-}
-
-// awaitSeq blocks until the child with the given creation sequence number
-// announces quiescence. Other announcements queue up as usual.
-func (t *Task) awaitSeq(seq uint64) *Task {
-	for i, q := range t.pendingList {
-		if q.seq == seq {
-			t.pendingList = append(t.pendingList[:i], t.pendingList[i+1:]...)
-			return q
-		}
-	}
-	for {
-		q := t.recvReady()
-		if q.seq == seq {
-			return q
-		}
-		t.pendingList = append(t.pendingList, q)
-	}
-}
-
-// scriptedPick consults the replay script for this parent's next pick.
-// It returns nil when the runtime is not replaying or the script is dry.
-func (t *Task) scriptedPick() *Task {
-	if t.runtime.replay == nil {
-		return nil
-	}
-	seq, ok := t.runtime.replay.next(t.path())
-	if !ok {
-		return nil
-	}
-	return t.awaitSeq(seq)
-}
-
-// recordPick notes a non-deterministic pick when recording.
-func (t *Task) recordPick(c *Task) {
-	if t.runtime.record != nil {
-		t.runtime.record.record(t.path(), c.seq)
-	}
 }

@@ -35,38 +35,41 @@ type HistoryGC struct {
 }
 
 // RunConfig bundles every optional runtime hook. The zero value is a
-// plain Run; the specialized runners (Run, RunPooled, RunTraced,
-// RunRecording, RunReplaying, RunRecoverable, RunObserved) are all thin
-// wrappers over RunWith with one field set.
+// plain Run, and every field is independent of the others.
 type RunConfig struct {
-	// MaxParallel bounds simultaneous task execution when > 0 (see
-	// RunPooled).
+	// MaxParallel, when > 0, bounds simultaneous task execution — footnote
+	// 2 of the paper: tasks need not map one-to-one onto threads but "may
+	// also be scheduled to be executed on a pool of threads". Tasks hold an
+	// execution slot only while running user code; every blocking point of
+	// the merge protocol releases it, so any bound preserves both progress
+	// and the determinism guarantees (results are identical to Run's).
 	MaxParallel int
-	// Trace records merge decisions when non-nil (see RunTraced).
-	Trace *Trace
-	// Record captures every MergeAny pick when non-nil (see RunRecording).
-	Record *MergeScript
-	// Replay forces recorded MergeAny picks when non-nil (see
-	// RunReplaying). Cursors are rewound at the start of the run.
-	Replay *MergeScript
-	// Choose decides MergeAny picks the Replay script does not cover when
-	// non-nil — the schedule explorer's scheduler hook (see ChoiceFunc).
-	Choose ChoiceFunc
-	// Jitter, when non-nil, is invoked at every blocking point of the
-	// merge protocol. Test harnesses use it both to perturb schedules
-	// (see runJittered) and as a progress pulse for stall watchdogs.
-	Jitter func()
+	// Obs receives hierarchical runtime spans when non-nil: every spawn,
+	// merge (with nested per-structure transform and apply phases), sync
+	// and abort. For a deterministic program the span tree is identical
+	// across runs and GOMAXPROCS settings, durations aside (see package
+	// obs). With Obs nil the spawn/merge hot path pays nothing — no
+	// allocations, no atomic traffic.
+	Obs *obs.Tracer
+	// Decider steers and observes every MergeAny / MergeAnyFromSet pick
+	// when non-nil (see Decider). A *MergeScript is rewound first, so one
+	// script can drive repeated replays.
+	Decider Decider
 	// OnRootMerge observes the root's data after each root-level merge
 	// (the journal's checkpoint cadence).
 	OnRootMerge RootMergeHook
-	// Obs receives hierarchical runtime spans when non-nil (see package
-	// obs and RunObserved). With Obs nil the spawn/merge hot path pays
-	// nothing — no allocations, no atomic traffic.
-	Obs *obs.Tracer
 	// History tunes the op-log garbage collector; the zero value trims
 	// eagerly (the default since the runtime existed).
 	History HistoryGC
 }
+
+// RootMergeHook observes the root task's data after each of its merges.
+// It is invoked on the root goroutine — the only mutator of the root
+// structures — with the merge's ordinal (1-based, deterministic under
+// replay), so implementations may read the structures freely but must not
+// retain references past the call. The journal's checkpoint writer is the
+// intended implementation.
+type RootMergeHook func(data []mergeable.Mergeable, rootMerges int)
 
 // runFrame is the pooled per-Run allocation unit: the tree runtime, the
 // root task and the shells of every task the run spawns all live here and
@@ -96,14 +99,10 @@ func getFrame() *runFrame {
 	f := framePool.Get().(*runFrame)
 	rt := &f.rt
 	rt.nextID.Store(0)
-	rt.tracer = nil
-	rt.record = nil
-	rt.replay = nil
-	rt.choose = nil
+	rt.decider = nil
 	rt.randSeed = 0
 	rt.onRootMerge = nil
 	rt.rootMerges = 0
-	rt.jitter = nil
 	rt.slots = nil
 	rt.obs = nil
 	rt.gcDisable = false
@@ -136,19 +135,14 @@ func initRoot(f *runFrame, fn Func, data []mergeable.Mergeable) *Task {
 }
 
 // RunWith executes fn as the root task of a new task tree with the given
-// configuration. It is the single entry point all other runners reduce
-// to; see Run for the core semantics.
+// configuration; see Run for the core semantics.
 func RunWith(cfg RunConfig, fn Func, data ...mergeable.Mergeable) error {
-	if cfg.Replay != nil {
-		cfg.Replay.resetCursors()
+	if s, ok := cfg.Decider.(*MergeScript); ok {
+		s.Rewind()
 	}
 	f := getFrame()
 	rt := &f.rt
-	rt.tracer = cfg.Trace
-	rt.record = cfg.Record
-	rt.replay = cfg.Replay
-	rt.choose = cfg.Choose
-	rt.jitter = cfg.Jitter
+	rt.decider = cfg.Decider
 	rt.onRootMerge = cfg.OnRootMerge
 	rt.obs = cfg.Obs
 	rt.gcDisable = cfg.History.Disable
@@ -182,27 +176,4 @@ func Run(fn Func, data ...mergeable.Mergeable) error {
 	err := root.err
 	putFrame(f)
 	return err
-}
-
-// RunPooled is Run with task execution bounded to maxParallel
-// simultaneous tasks — footnote 2 of the paper: tasks need not map
-// one-to-one onto threads but "may also be scheduled to be executed on a
-// pool of threads". Tasks hold an execution slot only while running user
-// code; every blocking point of the merge protocol releases it, so any
-// maxParallel >= 1 preserves both progress and the determinism
-// guarantees (results are identical to Run's).
-func RunPooled(maxParallel int, fn Func, data ...mergeable.Mergeable) error {
-	if maxParallel < 1 {
-		maxParallel = 1
-	}
-	return RunWith(RunConfig{MaxParallel: maxParallel}, fn, data...)
-}
-
-// RunObserved is Run with the observability layer enabled: every spawn,
-// merge (with nested per-structure transform and apply phases), sync and
-// abort is recorded into tracer as a span. For a deterministic program
-// the resulting span tree is identical across runs and GOMAXPROCS
-// settings, durations aside — see package obs.
-func RunObserved(tracer *obs.Tracer, fn Func, data ...mergeable.Mergeable) error {
-	return RunWith(RunConfig{Obs: tracer}, fn, data...)
 }

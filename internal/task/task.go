@@ -127,10 +127,11 @@ type Task struct {
 	// rng is the lazily created task-local deterministic random source
 	// (see Ctx.Rand).
 	rng *rand.Rand
-	// track caches path() for span emission. It is written only from
-	// goroutines whose accesses to this task are already ordered by the
-	// runtime's channels (the task's own goroutine, or the parent while
-	// the task is quiescent), and only when tracing is enabled.
+	// track caches path() for span emission and the decider. It is
+	// written only from goroutines whose accesses to this task are already
+	// ordered by the runtime's channels (the task's own goroutine, or the
+	// parent while the task is quiescent), and only when tracing is enabled
+	// or a decider is installed.
 	track string
 
 	runtime *treeRuntime
@@ -148,7 +149,8 @@ type Task struct {
 }
 
 // spanTrack returns the task's stable span track (its creation path),
-// cached after the first computation. Only called when tracing is on.
+// cached after the first computation. Only called when tracing is on or a
+// decider is installed.
 func (t *Task) spanTrack() string {
 	if t.track == "" {
 		t.track = t.path()
@@ -159,15 +161,9 @@ func (t *Task) spanTrack() string {
 // treeRuntime holds process-wide state shared by a task tree.
 type treeRuntime struct {
 	nextID atomic.Uint64
-	// tracer records merge decisions when non-nil (see RunTraced).
-	tracer *Trace
-	// record and replay capture / enforce the non-deterministic merge
-	// picks (see RunRecording / RunReplaying).
-	record *MergeScript
-	replay *MergeScript
-	// choose, when non-nil, decides MergeAny picks the replay script does
-	// not cover — the schedule explorer's scheduler hook (see ChoiceFunc).
-	choose ChoiceFunc
+	// decider steers and observes the MergeAny picks when non-nil (see
+	// Decider); its Yield runs at every blocking point.
+	decider Decider
 	// randSeed is the base seed for the task-local deterministic random
 	// sources (see Ctx.Rand / Ctx.SeedRand).
 	randSeed uint64
@@ -176,10 +172,6 @@ type treeRuntime struct {
 	// both are touched only on the root goroutine.
 	onRootMerge RootMergeHook
 	rootMerges  int
-	// jitter, when non-nil, is invoked at every blocking point of the
-	// merge protocol — a test hook that perturbs schedules to widen
-	// interleaving coverage without touching results.
-	jitter func()
 	// slots bounds how many tasks execute simultaneously when non-nil
 	// (footnote 2 of the paper: "tasks may also be scheduled to be
 	// executed on a pool of threads"). A task holds a slot while running
@@ -226,8 +218,8 @@ func (rt *treeRuntime) getShell() *Task {
 
 // acquire takes an execution slot (no-op without a pool).
 func (rt *treeRuntime) acquire() {
-	if rt.jitter != nil {
-		rt.jitter()
+	if rt.decider != nil {
+		rt.decider.Yield()
 	}
 	if rt.slots != nil {
 		rt.slots <- struct{}{}
@@ -469,8 +461,8 @@ func (t *Task) run() {
 	}
 	t.phase.Store(int32(phaseCompleted))
 	t.runtime.release()
-	if t.runtime.jitter != nil {
-		t.runtime.jitter()
+	if t.runtime.decider != nil {
+		t.runtime.decider.Yield()
 	}
 	t.parent.ready <- t // may block until the parent drains announcements
 }
@@ -516,8 +508,8 @@ func (t *Task) enterSync() error {
 	}
 	t.phase.Store(int32(phaseSyncing))
 	t.runtime.release() // do not hold an execution slot while blocked
-	if t.runtime.jitter != nil {
-		t.runtime.jitter()
+	if t.runtime.decider != nil {
+		t.runtime.decider.Yield()
 	}
 	t.parent.ready <- t
 	msg := <-t.resume

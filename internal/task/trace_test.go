@@ -2,22 +2,38 @@ package task
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/mergeable"
+	"repro/internal/obs"
 
 	"repro/internal/testutil"
 )
 
+// mergeSpans renders the root track's merge spans as "<child> <outcome>
+// ops=<n>", in merge order.
+func mergeSpans(tr *obs.Tracer) []string {
+	var out []string
+	for _, track := range tr.Tree().Tracks {
+		for _, s := range track.Spans {
+			if track.Key == "r" && s.Kind == obs.KindMerge {
+				out = append(out, fmt.Sprintf("%s ops=%d", s.Name, s.Ops))
+			}
+		}
+	}
+	return out
+}
+
 // tracedScenario spawns children with every outcome class: a clean merge,
 // sync merges, a failure, an abort and a condition rejection.
-func tracedScenario(t *testing.T) *Trace {
+func tracedScenario(t *testing.T) []string {
 	t.Helper()
 	c := mergeable.NewCounter(0)
-	tr, err := RunTraced(func(ctx *Ctx, data []mergeable.Mergeable) error {
+	tr := obs.New()
+	err := RunWith(RunConfig{Obs: tr}, func(ctx *Ctx, data []mergeable.Mergeable) error {
 		cnt := data[0].(*mergeable.Counter)
 
 		ok := ctx.Spawn(func(ctx *Ctx, data []mergeable.Mergeable) error {
@@ -67,76 +83,30 @@ func tracedScenario(t *testing.T) *Trace {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tr
+	return mergeSpans(tr)
 }
 
-// traceShape reduces a trace to the comparable per-parent skeleton
-// (outcome/kind/ops), dropping the run-specific task IDs.
-func traceShape(tr *Trace) [][]string {
-	byParent := tr.ByParent()
-	// The scenario has a single merging parent (the root).
-	var shape [][]string
-	for _, evs := range byParent {
-		var seq []string
-		for _, e := range evs {
-			kind := "done"
-			if e.Sync {
-				kind = "sync"
-			}
-			seq = append(seq, kind+"/"+e.Outcome)
-		}
-		shape = append(shape, seq)
-	}
-	return shape
-}
-
+// TestRunTracedRecordsOutcomes: the merge spans name every outcome class
+// with its applied-op count, sync merges included.
 func TestRunTracedRecordsOutcomes(t *testing.T) {
 	testutil.WithTimeout(t, 30*time.Second, func() {
-		tr := tracedScenario(t)
-		var outcomes []string
-		for _, e := range tr.Events() {
-			outcomes = append(outcomes, e.Outcome)
+		want := []string{
+			"r/0 merged ops=1", "r/1 merged ops=1", "r/1 merged ops=1", "r/2 failed ops=0",
+			"r/3 rejected ops=0", "r/4 aborted ops=0", "r/4 aborted ops=0",
 		}
-		for _, want := range []string{"merged", "failed", "rejected", "aborted"} {
-			found := false
-			for _, o := range outcomes {
-				if o == want {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Errorf("trace missing outcome %q: %v", want, outcomes)
-			}
-		}
-		s := tr.String()
-		for _, want := range []string{"task", "sync", "merged", "ops="} {
-			if !strings.Contains(s, want) {
-				t.Errorf("trace rendering missing %q:\n%s", want, s)
-			}
-		}
-	})
-}
-
-// TestTraceDeterministic pins the debugging claim: the per-parent merge
-// sequence of a deterministic program is identical on every traced run.
-func TestTraceDeterministic(t *testing.T) {
-	testutil.WithTimeout(t, 60*time.Second, func() {
-		want := traceShape(tracedScenario(t))
-		for i := 0; i < 5; i++ {
-			if got := traceShape(tracedScenario(t)); !reflect.DeepEqual(got, want) {
-				t.Fatalf("run %d: trace shape diverged:\n%v\nvs\n%v", i, got, want)
-			}
+		if got := tracedScenario(t); !reflect.DeepEqual(got, want) {
+			t.Fatalf("merge spans = %q, want %q", got, want)
 		}
 	})
 }
 
 // TestTraceCountsOps checks that applied-operation counts reach the
-// trace — and, incidentally, that adjacent appends were compacted into a
+// merge span — and, incidentally, that adjacent appends were compacted into a
 // single operation while the unrelated delete stayed separate.
 func TestTraceCountsOps(t *testing.T) {
 	l := mergeable.NewList(9)
-	tr, err := RunTraced(func(ctx *Ctx, data []mergeable.Mergeable) error {
+	tr := obs.New()
+	err := RunWith(RunConfig{Obs: tr}, func(ctx *Ctx, data []mergeable.Mergeable) error {
 		ctx.Spawn(func(ctx *Ctx, data []mergeable.Mergeable) error {
 			cl := data[0].(*mergeable.List[int])
 			cl.Append(1, 2, 3) // one insert op
@@ -149,8 +119,7 @@ func TestTraceCountsOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evs := tr.Events()
-	if len(evs) != 1 || evs[0].Ops != 2 {
-		t.Fatalf("events = %v, want one merge applying 2 compacted ops", evs)
+	if got := mergeSpans(tr); !reflect.DeepEqual(got, []string{"r/0 merged ops=2"}) {
+		t.Fatalf("merge spans = %q, want one merge applying 2 compacted ops", got)
 	}
 }

@@ -66,11 +66,10 @@ type (
 	Condition = task.Condition
 	// PanicError wraps a panic recovered from a task body.
 	PanicError = task.PanicError
-	// Trace collects merge decisions from RunTraced.
-	Trace = task.Trace
-	// MergeEvent is one recorded merge decision.
-	MergeEvent = task.MergeEvent
-	// MergeScript records/replays non-deterministic merge picks.
+	// Decider steers and observes the MergeAny / MergeAnyFromSet picks,
+	// the one non-deterministic choice a program makes (RunConfig.Decider).
+	Decider = task.Decider
+	// MergeScript is the Decider that records and replays those picks.
 	MergeScript = task.MergeScript
 )
 
@@ -117,43 +116,17 @@ var (
 // has completed and merged. See task.Run.
 func Run(fn Func, data ...Mergeable) error { return task.Run(fn, data...) }
 
-// RunPooled is Run with task execution bounded to maxParallel
-// simultaneous tasks (the paper's thread-pool scheduling, footnote 2).
-// Results are identical to Run's; only the scheduling changes.
-func RunPooled(maxParallel int, fn Func, data ...Mergeable) error {
-	return task.RunPooled(maxParallel, fn, data...)
-}
-
-// RunTraced is Run with merge tracing: every merge decision is recorded
-// into the returned Trace. Deterministic programs produce identical
-// per-parent traces on every run, so two traces can be diffed to localize
-// a divergence.
-func RunTraced(fn Func, data ...Mergeable) (*Trace, error) {
-	return task.RunTraced(fn, data...)
-}
-
-// NewMergeScript returns an empty script for RunRecording.
+// NewMergeScript returns an empty script: as RunConfig.Decider it records
+// every MergeAny / MergeAnyFromSet pick, and a later run with the same
+// script replays them, reproducing the execution bit for bit.
 func NewMergeScript() *MergeScript { return task.NewMergeScript() }
-
-// RunRecording is Run that records every non-deterministic merge decision
-// (MergeAny / MergeAnyFromSet) into script, so RunReplaying can reproduce
-// the execution exactly.
-func RunRecording(script *MergeScript, fn Func, data ...Mergeable) error {
-	return task.RunRecording(script, fn, data...)
-}
-
-// RunReplaying is Run with the non-deterministic merge decisions forced
-// to follow a recorded script, reproducing that execution bit for bit.
-func RunReplaying(script *MergeScript, fn Func, data ...Mergeable) error {
-	return task.RunReplaying(script, fn, data...)
-}
 
 // WithCondition attaches a post-condition to a merge call.
 func WithCondition(cond Condition) MergeOption { return task.WithCondition(cond) }
 
 // Observability layer, re-exported from internal/obs.
 type (
-	// Tracer collects hierarchical runtime spans (see RunObserved). For a
+	// Tracer collects hierarchical runtime spans (RunConfig.Obs). For a
 	// deterministic program the span tree is identical across runs and
 	// core counts, durations aside.
 	Tracer = obs.Tracer
@@ -180,17 +153,9 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 // failing run against a known-good one localizes where behavior forked.
 func DiffSpanTrees(a, b *SpanTree) []string { return obs.Diff(a, b) }
 
-// RunObserved is Run with span tracing: every spawn, merge (with nested
-// per-structure transform/apply phases), sync and abort in the task tree
-// is recorded into tracer. See internal/obs for the determinism
-// guarantees of the resulting span tree.
-func RunObserved(tracer *Tracer, fn Func, data ...Mergeable) error {
-	return task.RunObserved(tracer, fn, data...)
-}
-
-// RunWith executes fn with an explicit hook configuration — the general
-// form behind Run, RunPooled, RunTraced, RunRecording, RunReplaying and
-// RunObserved, for callers combining several hooks at once.
+// RunWith executes fn with an explicit hook configuration: a bounded
+// task pool, span tracing, a Decider, a root-merge hook, history GC
+// tuning. See task.RunConfig.
 func RunWith(cfg RunConfig, fn Func, data ...Mergeable) error {
 	return task.RunWith(cfg, fn, data...)
 }
