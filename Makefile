@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race figure3 figure3-full soak soak-trace soak-kill soak-collab soak-mem soak-shard explore explore-deep churn compact fuzz fuzz-ot fuzz-batch fuzz-cow fuzz-segment examples
+.PHONY: all build vet test race figure3 figure3-full soak explore explore-deep churn compact fuzz fuzz-ot fuzz-batch fuzz-cow fuzz-segment examples
 
 # race is part of all so the fault-injection suite always runs under the
 # race detector.
@@ -29,44 +29,28 @@ figure3:
 figure3-full:
 	$(GO) run ./cmd/figure3 -full -repeats 3
 
+# Load legs: the explorer's sized scenarios and its process-kill check,
+# each a fixed number of schedules, so a leg does the same work on every
+# machine (about 40s on 2 cores).
+#   collab  8 clients × 50 edits through a transport whose every fault is
+#           a decision must reach the closed form c5f2f3d793b78755;
+#   load    512 clients × 7 edits over 256 documents must leave every
+#           document on its closed form (5e6249988330ac42); its 7 schedules
+#           run 1, 2 and 4 shards, each also with a shard kill, and 1 shard
+#           under decided fabric faults (the covering decisions take every
+#           alternative, or the run fails);
+#   mem     128 waves with eager history GC, a rotating WAL and pruned
+#           checkpoints must equal the unbounded run and hold retained ops,
+#           journal disk and post-GC heap under their bounds, crash-swept;
+#   -kill   every fanout and churn schedule re-run in a journaled child
+#           process, SIGKILLed and resumed until it exits 0, must reach
+#           the live outcome, with at least one resume per leg.
 soak:
-	$(GO) run ./cmd/soak -duration 60s
-
-# Crash-recovery soak: SIGKILL + resume journaled worker processes in a
-# loop, verifying every recovered fingerprint.
-soak-kill:
-	$(GO) run ./cmd/soak -kill -duration 30s
-
-# Span-tree determinism soak: traced random probes must produce
-# bit-identical span trees and counter sets across GOMAXPROCS 1/4.
-soak-trace:
-	$(GO) run ./cmd/soak -trace -duration 30s
-
-# Collab front-door soak: seeded chaos rounds (drops, resets, dial
-# failures, partition pulses) must complete the full multi-client edit
-# workload via reconnect+RESUME against the one-shard ShardedServer and
-# converge on the closed-form canonical fingerprint (every client's
-# markers, each once); a final overload round must shed visibly without
-# losing or duplicating an acked edit.
-soak-collab:
-	$(GO) run ./cmd/soak -collab -duration 30s
-
-# Bounded-memory soak: compressed long-lived rounds where the bounded run
-# (history GC + WAL rotation + checkpoint pruning) must hold retained
-# history, journal disk and post-GC heap flat while staying bit-identical
-# to an unbounded reference run and to a full journal replay. Its last leg
-# does the same for the sharded service: shard state (session watermarks,
-# in-flight claims, retained root-log ops) and heap flat pass after pass.
-soak-mem:
-	$(GO) run ./cmd/soak -mem -duration 30s
-
-# Sharded-service smoke (<15s of runtime): one trimmed pass of the full
-# battery — 1/2/4-shard clean runs over memnet, a seeded-chaos round on
-# the inter-shard fabric, and a SIGKILL+resume of one journaled shard —
-# each verified against the closed-form reference fingerprints. The
-# nightly job runs the full 100k-op pass.
-soak-shard:
-	$(GO) run ./cmd/soak -shard -shard-ops 4000 -duration 1ms
+	$(GO) run ./cmd/explore -scenario collab -size 50 -schedules 8
+	$(GO) run ./cmd/explore -scenario load -size 7 -schedules 7
+	$(GO) run ./cmd/explore -scenario mem -size 8 -schedules 4 -crash -segment-bytes 4096 -retain-ckpts 2
+	$(GO) run ./cmd/explore -scenario fanout -schedules 16 -kill
+	$(GO) run ./cmd/explore -scenario churn -schedules 16 -kill
 
 # Bounded schedule exploration: exhaustively enumerate the MergeAny
 # fixtures, then random-walk the deterministic and chaos fixtures. The
@@ -81,44 +65,46 @@ explore:
 	$(GO) run ./cmd/explore -scenario compact -strategy exhaustive -schedules 2048
 	$(GO) run ./cmd/explore -scenario shard -strategy exhaustive -schedules 64
 
-# Deep exploration for the nightly job: big random-walk budgets, a
-# GOMAXPROCS sweep, crash-point sweeps on the journaled fixture, and
-# failing seeds persisted under explore-seeds/ for artifact upload.
+# Deep exploration for the nightly job: every built-in scenario, big
+# random-walk budgets, a GOMAXPROCS sweep, crash-point and process-kill
+# sweeps, the sized scenarios at full load (load at 512 × 195 ≈ 100k
+# edits, its 12 schedules every combination of shard count, kill and
+# fabric faults), and failing seeds persisted under explore-seeds/ for
+# artifact upload.
 explore-deep:
 	mkdir -p explore-seeds
 	$(GO) run ./cmd/explore -scenario fanout -schedules 512 -procs 1,2,4,8 -seeds explore-seeds
 	$(GO) run ./cmd/explore -scenario anyorder -schedules 256 -procs 1,4 -seeds explore-seeds
 	$(GO) run ./cmd/explore -scenario abortsync -schedules 256 -procs 1,4 -seeds explore-seeds
+	$(GO) run ./cmd/explore -scenario overlapany -strategy exhaustive -seeds explore-seeds
 	$(GO) run ./cmd/explore -scenario fanout -schedules 16 -crash -crash-points 5 -seeds explore-seeds
+	$(GO) run ./cmd/explore -scenario fanout -schedules 64 -kill -seeds explore-seeds
 	$(GO) run ./cmd/explore -scenario chaos -schedules 128 -seeds explore-seeds
 	$(GO) run ./cmd/explore -scenario churn -strategy exhaustive -schedules 4000 -seeds explore-seeds
 	$(GO) run ./cmd/explore -scenario churn -schedules 16 -crash -crash-points 3 -seeds explore-seeds
+	$(GO) run ./cmd/explore -scenario churn -schedules 256 -kill -seeds explore-seeds
 	$(GO) run ./cmd/explore -scenario session -strategy exhaustive -schedules 128 -seeds explore-seeds
 	$(GO) run ./cmd/explore -scenario compact -strategy exhaustive -schedules 2048 -seeds explore-seeds
 	$(GO) run ./cmd/explore -scenario compact -schedules 8 -crash -crash-points 5 -segment-bytes 256 -retain-ckpts 1 -seeds explore-seeds
 	$(GO) run ./cmd/explore -scenario shard -strategy exhaustive -schedules 64 -seeds explore-seeds
-	$(GO) run ./cmd/soak -churn -duration 60s
-	$(GO) run ./cmd/soak -shard -duration 1s
-	$(GO) run ./cmd/soak -collab -duration 120s
-	$(GO) run ./cmd/soak -explore -duration 120s
-	$(GO) run ./cmd/soak -mem -duration 120s
+	$(GO) run ./cmd/explore -scenario collab -size 50 -schedules 64 -seeds explore-seeds
+	$(GO) run ./cmd/explore -scenario load -size 195 -schedules 12 -seeds explore-seeds
+	$(GO) run ./cmd/explore -scenario mem -size 32 -schedules 16 -crash -segment-bytes 4096 -retain-ckpts 2 -seeds explore-seeds
 
 # Elastic-cluster churn smoke (<10s of runtime): a bounded exhaustive
 # enumeration of membership schedules (join/drain/leave/kill × explored
-# placements) plus a burst of coordinator SIGKILL/resume churn with
-# fingerprint verification.
+# placements). `make soak` SIGKILLs and resumes journaled churn runs.
 churn:
 	$(GO) run ./cmd/explore -scenario churn -strategy exhaustive -schedules 300
-	$(GO) run ./cmd/soak -churn -duration 4s
 
 # Compaction smoke (<15s of runtime): exhaustively enumerate the compact
 # scenario's decision space (GC policy × abort × drain × MergeAny pick
 # order must land on one fingerprint), crash-sweep it with forced WAL
-# rotation + checkpoint pruning, and run a short bounded-memory soak.
+# rotation + checkpoint pruning, and run a small bounded-memory leg.
 compact:
 	$(GO) run ./cmd/explore -scenario compact -strategy exhaustive -schedules 2048
 	$(GO) run ./cmd/explore -scenario compact -schedules 4 -crash -segment-bytes 256 -retain-ckpts 1
-	$(GO) run ./cmd/soak -mem -duration 8s
+	$(GO) run ./cmd/explore -scenario mem -size 2 -schedules 4 -crash -segment-bytes 4096 -retain-ckpts 2
 
 # Journal recovery fuzzing (arbitrary WAL bytes must never panic and
 # must classify as corrupt / torn-tail / no-run).

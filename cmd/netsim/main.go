@@ -14,7 +14,6 @@ import (
 	"log"
 	"os"
 
-	"repro/internal/detcheck"
 	"repro/internal/netsim"
 )
 
@@ -36,16 +35,20 @@ func main() {
 	}
 
 	if *det > 0 {
-		rep, err := detcheck.Check(*det, func() (uint64, error) {
+		counts := map[uint64]int{}
+		for i := 0; i < *det; i++ {
 			r, err := netsim.RunEngine(*engine, cfg)
-			return r.Fingerprint, err
-		})
-		if err != nil {
-			log.Fatal(err)
+			if err != nil {
+				log.Fatalf("run %d: %v", i, err)
+			}
+			counts[r.Fingerprint]++
 		}
-		fmt.Printf("%s: %s\n", *engine, rep)
-		if !rep.Deterministic() {
+		if len(counts) > 1 {
+			fmt.Printf("%s: NON-DETERMINISTIC: %d distinct outcomes over %d runs\n", *engine, len(counts), *det)
 			os.Exit(1)
+		}
+		for fp := range counts {
+			fmt.Printf("%s: deterministic: %d runs, fingerprint %016x\n", *engine, *det, fp)
 		}
 		return
 	}

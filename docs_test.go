@@ -17,9 +17,13 @@ import (
 // verify skill must exist, and so must every pkg.Name cited in a code span
 // of the first two or the skill (pkg being repro or a package directly
 // under internal/): a top-level declaration of its non-test files.
-// EXPERIMENTS.md is history and may name deleted code. Commands are read
-// only from code spans and fenced blocks, so prose such as "make the" is
-// not taken for a target.
+// EXPERIMENTS.md is history and may name deleted code, commands and flags,
+// so only its Benchmark… citations are checked. Commands are read only
+// from code spans and fenced blocks, so prose such as "make the" is not
+// taken for a target. The Makefile and the CI workflows are read as plain
+// text: every `go run ./…` (or `$(GO) run ./…`) there must name a package
+// and flags that exist, and every `make` a target, so a deleted command
+// fails here, not in the next CI run.
 func TestDocsCiteWhatExists(t *testing.T) {
 	docs := []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"}
 
@@ -55,7 +59,7 @@ func TestDocsCiteWhatExists(t *testing.T) {
 	}
 
 	code := regexp.MustCompile("(?s)```.*?```|`[^`\n]+`")
-	goRun := regexp.MustCompile("go run (\\./[\\w./-]*)([^\n`|&;>#]*)")
+	goRun := regexp.MustCompile("(?:go|\\$\\(GO\\)) run (\\./[\\w./-]*)([^\n`|&;>#]*)")
 	flagUse := regexp.MustCompile(`(?:^|\s)--?([a-z][\w-]*)`)
 	flagDecl := regexp.MustCompile(`flag\.\w+\("([\w-]+)"|flag\.\w+Var\([^,]+, "([\w-]+)"`)
 	flagsOf := map[string]map[string]bool{} // package directory → declared flags
@@ -96,6 +100,32 @@ func TestDocsCiteWhatExists(t *testing.T) {
 	cite := regexp.MustCompile(`\b([a-z]\w*)\.([A-Z]\w*)`)
 	makeRun := regexp.MustCompile(`\bmake ([a-z][\w-]*)`)
 	benchRef := regexp.MustCompile(`\bBenchmark[A-Z]\w*`)
+	checkRuns := func(doc, text string) {
+		for _, m := range goRun.FindAllStringSubmatch(text, -1) {
+			if fi, err := os.Stat(m[1]); err != nil || !fi.IsDir() {
+				t.Errorf("%s runs %q, which is not a directory of this module", doc, m[0])
+				continue
+			}
+			for _, f := range flagUse.FindAllStringSubmatch(m[2], -1) {
+				if !declared(m[1])[f[1]] {
+					t.Errorf("%s runs %q, but %s declares no flag -%s", doc, strings.TrimSpace(m[0]), m[1], f[1])
+				}
+			}
+		}
+		for _, m := range makeRun.FindAllStringSubmatch(text, -1) {
+			if !targets[m[1]] {
+				t.Errorf("%s runs %q, which the Makefile does not define", doc, m[0])
+			}
+		}
+	}
+	workflows, _ := filepath.Glob(".github/workflows/*.yml")
+	for _, f := range append(workflows, "Makefile") {
+		text, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkRuns(f, string(text))
+	}
 	for _, doc := range docs {
 		text, err := os.ReadFile(doc)
 		if err != nil {
@@ -107,16 +137,8 @@ func TestDocsCiteWhatExists(t *testing.T) {
 			}
 		}
 		for _, span := range code.FindAllString(string(text), -1) {
-			for _, m := range goRun.FindAllStringSubmatch(span, -1) {
-				if fi, err := os.Stat(m[1]); err != nil || !fi.IsDir() {
-					t.Errorf("%s runs %q, which is not a directory of this module", doc, m[0])
-					continue
-				}
-				for _, f := range flagUse.FindAllStringSubmatch(m[2], -1) {
-					if !declared(m[1])[f[1]] {
-						t.Errorf("%s runs %q, but %s declares no flag -%s", doc, strings.TrimSpace(m[0]), m[1], f[1])
-					}
-				}
+			if doc != "EXPERIMENTS.md" {
+				checkRuns(doc, span)
 			}
 			for _, m := range cite.FindAllStringSubmatch(span, -1) {
 				dir := filepath.Join("internal", m[1])
@@ -128,11 +150,6 @@ func TestDocsCiteWhatExists(t *testing.T) {
 				}
 				if !topLevel(dir)[m[2]] {
 					t.Errorf("%s cites %s, which %s does not declare", doc, m[0], dir)
-				}
-			}
-			for _, m := range makeRun.FindAllStringSubmatch(span, -1) {
-				if !targets[m[1]] {
-					t.Errorf("%s runs %q, which the Makefile does not define", doc, m[0])
 				}
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -73,16 +74,20 @@ func snapshotFrame(t *testing.T, dir string, id int) []string {
 	return frames[0]
 }
 
-// TestShardStateStaysBounded is the bounded-state acceptance test: after
-// 20 000 mutations by 2 sessions on one journaled shard, what the shard
-// keeps between batches is a function of sessions and documents, not of
-// ops — 2 watermark entries, no claim in flight, root op logs trimmed to
-// (next to) nothing — and a handoff writes snapshot frames of at most
-// 2 + documents + sessions records where it used to write one per op ever
-// applied.
+// TestShardStateStaysBounded is the bounded-state acceptance test: 20 000
+// mutations by 2 sessions on one journaled shard, in 4 passes. After
+// every pass, what the shard keeps between batches is a function of
+// sessions and documents, not of ops — 2 watermark entries, no claim in
+// flight, root op logs trimmed to (next to) nothing — and the post-GC heap
+// after the last pass stays where the second pass left it. A handoff then
+// writes snapshot frames of at most 2 + documents + sessions records where
+// it used to write one per op ever applied, and every document equals its
+// closed form: each has one writer at a time, so replaying the sessions'
+// scripts on plain strings gives it.
 func TestShardStateStaysBounded(t *testing.T) {
-	const sessions, perSession, docs = 2, 10000, 4
+	const sessions, perSession, docs, passes = 2, 10000, 4, 4
 	marker := func(sess, j int) string { return fmt.Sprintf("%d%06d;", sess, j) } // 8 runes
+	docOf := func(sess, j int) string { return fmt.Sprintf("doc%d", sess+sessions*(2*j/perSession)) }
 	initial := make(map[string]string, docs)
 	for d := 0; d < docs; d++ {
 		initial[fmt.Sprintf("doc%d", d)] = strings.Repeat("initial;", 8)
@@ -96,8 +101,6 @@ func TestShardStateStaysBounded(t *testing.T) {
 	defer s.Shutdown()
 
 	clients := make([]*Client, sessions)
-	var wg sync.WaitGroup
-	errs := make(chan error, sessions)
 	for id := range clients {
 		c, err := DialWith(l, testClientOpts())
 		if err != nil {
@@ -105,55 +108,64 @@ func TestShardStateStaysBounded(t *testing.T) {
 		}
 		defer c.Close()
 		clients[id] = c
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			// Each step prepends a marker and deletes the one behind it, so
-			// every op mutates and the document keeps its 64 runes. Half way
-			// the session moves to a second document.
-			for j := 0; j < perSession; j += 2 {
-				if j == 0 || j == perSession/2 {
-					if _, err := c.Use(fmt.Sprintf("doc%d", id+sessions*(2*j/perSession))); err != nil {
-						errs <- err
-						return
+	}
+	var heap []uint64
+	for pass := 0; pass < passes; pass++ {
+		var wg sync.WaitGroup
+		errs := make(chan error, sessions)
+		for id, c := range clients {
+			wg.Add(1)
+			go func(id int, c *Client) {
+				defer wg.Done()
+				// Each step prepends a marker and deletes the one behind it, so
+				// every op mutates and the document keeps its 64 runes. Half way
+				// the session moves to a second document.
+				for j := pass * perSession / passes; j < (pass+1)*perSession/passes; j += 2 {
+					if j == 0 || j == perSession/2 {
+						if _, err := c.Use(docOf(id, j)); err != nil {
+							errs <- err
+							return
+						}
+					}
+					c.QueueInsert(0, marker(id, j))
+					c.QueueDelete(8, 8)
+					if c.Queued() >= 8 {
+						if err := c.Flush(); err != nil {
+							errs <- fmt.Errorf("session %d flush at %d: %w", id, j, err)
+							return
+						}
 					}
 				}
-				c.QueueInsert(0, marker(id, j))
-				c.QueueDelete(8, 8)
-				if c.Queued() >= 8 {
-					if err := c.Flush(); err != nil {
-						errs <- fmt.Errorf("session %d flush at %d: %w", id, j, err)
-						return
-					}
-				}
-			}
-			if err := c.Flush(); err != nil {
-				errs <- err
-			}
-		}(id)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	// Quiescence: a connection task pins history from its last Sync on (an
-	// idle pipe is one of the things still unbounded), so once both sessions
-	// are done each reads once more — a read is a Sync too — and every pin
-	// is up to date.
-	for _, c := range clients {
-		if _, err := c.Get(); err != nil {
-			t.Fatal(err)
+				errs <- c.Flush()
+			}(id, c)
 		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Quiescence: a connection task pins history from its last Sync on
+		// (an idle pipe is one of the things still unbounded), so once both
+		// sessions are done each reads once more — a read is a Sync too —
+		// and every pin is up to date.
+		for _, c := range clients {
+			if _, err := c.Get(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := s.ShardState()
+		if st.Watermarks != sessions || st.InFlight != 0 || st.RetainedOps > 8 {
+			t.Errorf("after pass %d: %+v, want %d watermark entries, no claim in flight and root op logs retaining ≤ 8 ops", pass+1, st, sessions)
+		}
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		heap = append(heap, ms.HeapAlloc)
 	}
-
-	st := s.ShardState()
-	t.Logf("after %d mutations: %+v", sessions*perSession, st)
-	if st.Watermarks != sessions || st.InFlight != 0 {
-		t.Errorf("exactly-once state %+v, want %d watermark entries and no claim in flight", st, sessions)
-	}
-	if st.RetainedOps > 8 {
-		t.Errorf("root op logs retain %d ops at quiescence, want ≤ 8", st.RetainedOps)
+	if base, last := heap[1], heap[passes-1]; last > base+base/4+4<<20 {
+		t.Errorf("post-GC heap grew %d → %d bytes from pass 2 to pass %d", base, last, passes)
 	}
 
 	if err := s.AddShard(1); err != nil {
@@ -186,9 +198,16 @@ func TestShardStateStaysBounded(t *testing.T) {
 	if got := s.Edits(); got != sessions*perSession {
 		t.Errorf("edits = %d, want exactly %d", got, sessions*perSession)
 	}
-	for name := range initial {
-		if doc, _ := s.Document(name); len(doc) != 64 {
-			t.Errorf("document %q ended %d runes long, want 64: %q", name, len(doc), doc)
+	want := maps.Clone(initial)
+	for id := 0; id < sessions; id++ {
+		for j := 0; j < perSession; j += 2 {
+			doc := marker(id, j) + want[docOf(id, j)]
+			want[docOf(id, j)] = doc[:8] + doc[16:]
+		}
+	}
+	for name, w := range want {
+		if doc, _ := s.Document(name); doc != w {
+			t.Errorf("document %q is %q, closed form %q", name, doc, w)
 		}
 	}
 }

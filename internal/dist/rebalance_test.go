@@ -74,8 +74,7 @@ func TestRebalanceMidFlight(t *testing.T) {
 // test: the fingerprint of a run whose task is moved mid-flight must be
 // bit-identical to the never-moved fingerprint on every procs setting —
 // the paper's "regardless of the number of cores" claim extended to
-// membership churn. (The detcheck helper cannot be used here — it rides
-// internal/explore, which imports this package.)
+// membership churn.
 func TestRebalanceDeterminismAcrossProcs(t *testing.T) {
 	testutil.WithTimeout(t, 180*time.Second, func() {
 		clean := NewClusterWith(Options{Nodes: 2, HeartbeatInterval: -1})

@@ -38,7 +38,7 @@ func TestChurnRandomWalkSmoke(t *testing.T) {
 		t.Fatalf("lost schedules = %d, want 0 (churn tolerates no errors)", res.Lost)
 	}
 	if len(res.Outcomes) != 1 {
-		t.Fatalf("outcomes = %v, want exactly one", sortedOutcomes(res.Outcomes))
+		t.Fatalf("outcomes = %v, want exactly one", res.SortedOutcomes())
 	}
 }
 
@@ -65,7 +65,7 @@ func TestChurnExhaustiveAcceptance(t *testing.T) {
 		t.Fatalf("lost schedules = %d, want 0", res.Lost)
 	}
 	if len(res.Outcomes) != 1 {
-		t.Fatalf("outcomes = %v, want exactly one across all churn schedules", sortedOutcomes(res.Outcomes))
+		t.Fatalf("outcomes = %v, want exactly one across all churn schedules", res.SortedOutcomes())
 	}
 }
 
@@ -218,6 +218,6 @@ func TestChurnLeaveRacesMerge(t *testing.T) {
 		t.Fatalf("violations: %v", res.Violations[0])
 	}
 	if len(res.Outcomes) != 1 {
-		t.Fatalf("outcomes = %v, want exactly one", sortedOutcomes(res.Outcomes))
+		t.Fatalf("outcomes = %v, want exactly one", res.SortedOutcomes())
 	}
 }

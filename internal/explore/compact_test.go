@@ -69,7 +69,7 @@ func TestCompactExhaustive(t *testing.T) {
 		t.Errorf("decision space not exhausted in %d schedules", res.Schedules)
 	}
 	if len(res.Outcomes) != 1 {
-		t.Errorf("observed %d distinct outcomes, want 1: %v", len(res.Outcomes), sortedOutcomes(res.Outcomes))
+		t.Errorf("observed %d distinct outcomes, want 1: %v", len(res.Outcomes), res.SortedOutcomes())
 	}
 	// The GC site alone has four alternatives; the space must be larger
 	// than any single site's fan-out.

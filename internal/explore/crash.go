@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/journal"
 	"repro/internal/mergeable"
@@ -48,23 +49,29 @@ type CrashCheck struct {
 	// reclaim and pruning live under "compaction.*") aggregated across
 	// every journaled run of the sweep.
 	Stats *stats.Counters
+	// Kill, when non-nil, replaces the in-process byte sweep with a real
+	// process: it gets the schedule's trace and returns the outcome that a
+	// journaled child, SIGKILLed and resumed until it finished, reached
+	// (the child half is RunJournaled).
+	Kill func(Trace) (uint64, error)
 }
 
-// countWriter measures a reference run's total journal bytes so crash
-// budgets can be spread across real write boundaries.
-type countWriter struct{ n atomic.Int64 }
-
-func (c *countWriter) wrap(w io.Writer) io.Writer { return &countProxy{c: c, w: w} }
-
-type countProxy struct {
-	c *countWriter
-	w io.Writer
+// hookWriter calls before with each write's length ahead of the write:
+// the reference run counts its journal bytes through it, so crash budgets
+// land on real write boundaries, and a kill child pauses on it.
+type hookWriter struct {
+	w      io.Writer
+	before func(n int)
 }
 
-func (p *countProxy) Write(b []byte) (int, error) {
-	n, err := p.w.Write(b)
-	p.c.n.Add(int64(n))
-	return n, err
+func (h hookWriter) Write(b []byte) (int, error) {
+	h.before(len(b))
+	return h.w.Write(b)
+}
+
+// hook wraps every journal writer in a hookWriter calling before.
+func hook(before func(n int)) func(io.Writer) io.Writer {
+	return func(w io.Writer) io.Writer { return hookWriter{w, before} }
 }
 
 // journalOpts builds one journaled run's options: the schedule's Env
@@ -81,6 +88,7 @@ func (cc *CrashCheck) journalOpts(env *Env, wrap func(io.Writer) io.Writer) jour
 		Stats:             cc.Stats,
 		WrapWriter:        wrap,
 		Decider:           env,
+		OnOpen:            env.onOpen,
 	}
 }
 
@@ -90,6 +98,17 @@ func crashCheck(sc Scenario, opts Options, out schedOut) *Violation {
 	cc := opts.Crash
 	bad := func(detail string, err error) *Violation {
 		return &Violation{Kind: KindCrash, Detail: detail, Err: err}
+	}
+	if cc.Kill != nil {
+		fp, err := cc.Kill(out.trace)
+		if err != nil {
+			return bad("killed-and-resumed run failed", err)
+		}
+		if sc.Deterministic && fp != out.fp {
+			return &Violation{Kind: KindCrash, Fingerprint: fp, Want: out.fp,
+				Detail: fmt.Sprintf("killed-and-resumed run gave %016x, live schedule gave %016x", fp, out.fp)}
+		}
+		return nil
 	}
 
 	// Reference journaled run: same decision trace, no crash. Its byte
@@ -101,31 +120,22 @@ func crashCheck(sc Scenario, opts Options, out schedOut) *Violation {
 		return bad("cannot create journal scratch dir", err)
 	}
 	defer os.RemoveAll(refDir)
-	cw := &countWriter{}
-	env := &Env{src: newSource(out.trace, nil, opts.MaxDecisions)}
-	fn, data := sc.Build(env)
-	runErr := journal.Run(refDir, cc.journalOpts(env, cw.wrap), fn, data...)
-	env.runDeferred()
-	if runErr != nil {
-		return bad("journaled reference run failed", runErr)
+	var written atomic.Int64 // the journal's writers may run concurrently
+	fp, _, err := runJournaled(sc, out.trace, refDir, opts, hook(func(n int) { written.Add(int64(n)) }))
+	if err != nil {
+		return bad("journaled reference run failed", err)
 	}
-	if fp := fingerprintOf(sc, data); fp != out.fp {
+	if fp != out.fp {
 		return bad(fmt.Sprintf("journaled reference run gave %016x, live schedule gave %016x", fp, out.fp), nil)
 	}
-	total := cw.n.Load()
-	if total < 2 {
-		return nil // nothing to tear
+	total := written.Load()
+	// A budget past the run's bytes never crashes: its resume replays the
+	// sealed journal end to end, which must land on the live outcome too.
+	if v := crashAt(sc, opts, out, total+1); v != nil || total < 2 {
+		return v // or nothing to tear
 	}
-
-	points := cc.Points
-	for i := 1; i <= points; i++ {
-		budget := total * int64(i) / int64(points+1)
-		if budget < 1 {
-			budget = 1
-		}
-		if budget > total-1 {
-			budget = total - 1
-		}
+	for i := 1; i <= cc.Points; i++ {
+		budget := min(max(total*int64(i)/int64(cc.Points+1), 1), total-1)
 		if v := crashAt(sc, opts, out, budget); v != nil {
 			return v
 		}
@@ -147,40 +157,67 @@ func crashAt(sc Scenario, opts Options, out schedOut, budget int64) *Violation {
 	defer os.RemoveAll(dir)
 
 	crasher := journal.NewCrashWriter(budget)
-	env := &Env{src: newSource(out.trace, nil, opts.MaxDecisions)}
-	fn, data := sc.Build(env)
-	runErr := journal.Run(dir, cc.journalOpts(env, crasher.Wrap), fn, data...)
-	env.runDeferred()
-	_ = runErr // the crashed run is supposed to fail; recovery is the test
+	_, _, runErr := runJournaled(sc, out.trace, dir, opts, crasher.Wrap)
 	if !crasher.Crashed() && runErr != nil {
 		return bad(fmt.Sprintf("journaled run failed before the crash budget (%d bytes) was reached", budget), runErr)
 	}
-
-	renv := &Env{src: newSource(out.trace, nil, opts.MaxDecisions)}
-	rfn, _ := sc.Build(renv)
-	rdata, rerr := journal.Resume(dir, cc.journalOpts(renv, nil), rfn)
-	renv.runDeferred()
-	if errors.Is(rerr, journal.ErrNoRun) {
-		// The crash landed before the inputs record was durable: nothing
-		// ever started, and recovery saying so is the correct answer — the
-		// caller re-runs from scratch.
-		return nil
+	// Recovery; a crash before the inputs record was durable left no run,
+	// and the schedule starts over.
+	fp, _, err := runJournaled(sc, out.trace, dir, opts, nil)
+	if err != nil {
+		return bad(fmt.Sprintf("resume after crash at byte %d failed", budget), err)
 	}
-	if rerr != nil {
-		return bad(fmt.Sprintf("resume after crash at byte %d failed", budget), rerr)
-	}
-	if sc.Deterministic {
-		if fp := fingerprintOf(sc, rdata); fp != out.fp {
-			return &Violation{
-				Kind:        KindCrash,
-				Detail:      fmt.Sprintf("resume after crash at byte %d gave %016x, live schedule gave %016x", budget, fp, out.fp),
-				Fingerprint: fp,
-				Want:        out.fp,
-			}
+	if sc.Deterministic && fp != out.fp {
+		return &Violation{
+			Kind:        KindCrash,
+			Detail:      fmt.Sprintf("resume after crash at byte %d gave %016x, live schedule gave %016x", budget, fp, out.fp),
+			Fingerprint: fp,
+			Want:        out.fp,
 		}
 	}
 	if verr := journal.Verify(dir); verr != nil {
 		return bad(fmt.Sprintf("journal does not verify after resume from crash at byte %d", budget), verr)
 	}
 	return nil
+}
+
+// killPause is how long a kill child sleeps before each journal write, so
+// a process kill lands mid-run.
+const killPause = 4 * time.Millisecond
+
+// RunJournaled is the child half of a kill check (CrashCheck.Kill): it
+// runs schedule tr of sc journaled in dir, resuming what a killed process
+// left there, and reports the outcome and whether it resumed. opts.Crash
+// supplies the codecs and journal knobs; every journal write is delayed
+// by killPause.
+func RunJournaled(sc Scenario, tr Trace, dir string, opts Options) (fp uint64, resumed bool, err error) {
+	o, err := opts.normalized(sc)
+	if err == nil && o.Crash == nil {
+		err = errors.New("explore: RunJournaled needs Options.Crash")
+	}
+	if err != nil {
+		return 0, false, err
+	}
+	return runJournaled(sc, tr, dir, o, hook(func(int) { time.Sleep(killPause) }))
+}
+
+// runJournaled resumes schedule tr's journal in dir or, when nothing
+// durable is there, runs it afresh; wrap (may be nil) wraps the journal's
+// writers.
+func runJournaled(sc Scenario, tr Trace, dir string, opts Options, wrap func(io.Writer) io.Writer) (fp uint64, resumed bool, err error) {
+	env := &Env{src: newSource(tr, nil, opts.MaxDecisions), size: opts.Size, dir: dir}
+	defer env.runDeferred()
+	fn, data := sc.Build(env)
+	jopts := opts.Crash.journalOpts(env, wrap)
+	rdata, err := journal.Resume(dir, jopts, fn)
+	if resumed = !errors.Is(err, journal.ErrNoRun); !resumed {
+		if err = os.RemoveAll(dir); err == nil {
+			err = journal.Run(dir, jopts, fn, data...)
+		}
+		rdata = data
+	}
+	if err != nil {
+		return 0, resumed, err
+	}
+	return fingerprintOf(sc, rdata), resumed, nil
 }

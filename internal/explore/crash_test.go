@@ -60,8 +60,4 @@ func TestCrashCheckMisconfiguration(t *testing.T) {
 	if _, err := Run(Fanout(), Options{Crash: &CrashCheck{}}); err == nil {
 		t.Error("CrashCheck without codecs was accepted")
 	}
-	sc := Opaque("op", func() (uint64, error) { return 0, nil })
-	if _, err := Run(sc, Options{Crash: &CrashCheck{Encode: dist.EncodeSnapshot, Decode: dist.DecodeSnapshot}}); err == nil {
-		t.Error("crash exploration of an Opaque scenario was accepted")
-	}
 }

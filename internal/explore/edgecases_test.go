@@ -32,7 +32,7 @@ func TestAbortRacingSyncDeterministic(t *testing.T) {
 		t.Error("abort space not exhausted")
 	}
 	if len(res.Outcomes) != 1 {
-		t.Errorf("abort outcomes = %v, want exactly one (6 = two surviving workers × three increments)", sortedOutcomes(res.Outcomes))
+		t.Errorf("abort outcomes = %v, want exactly one (6 = two surviving workers × three increments)", res.SortedOutcomes())
 	}
 	for fp := range res.Outcomes {
 		if fp != 6 {
@@ -61,7 +61,7 @@ func TestMergeAnyFromSetOverlapExhaustive(t *testing.T) {
 		t.Error("overlap space not exhausted")
 	}
 	if len(res.Outcomes) < 2 {
-		t.Errorf("overlap outcomes = %v, want the merge order to show", sortedOutcomes(res.Outcomes))
+		t.Errorf("overlap outcomes = %v, want the merge order to show", res.SortedOutcomes())
 	}
 }
 
@@ -85,7 +85,7 @@ func TestChaosDecisionDriven(t *testing.T) {
 		t.Errorf("Schedules = %d, want 6", res.Schedules)
 	}
 	if len(res.Outcomes) > 1 {
-		t.Errorf("chaos outcomes diverged: %v", sortedOutcomes(res.Outcomes))
+		t.Errorf("chaos outcomes diverged: %v", res.SortedOutcomes())
 	}
 	if res.Decisions == 0 {
 		t.Error("no fault decisions recorded — the decider is not wired")

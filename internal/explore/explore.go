@@ -7,8 +7,8 @@
 // replayable, enumerable and shrinkable.
 //
 // Two strategies walk the schedule space: a seeded random walk (the
-// workhorse, also backing internal/detcheck) and bounded-exhaustive DFS
-// that enumerates every reachable combination of picks within a budget.
+// workhorse) and bounded-exhaustive DFS that enumerates every reachable
+// combination of picks within a budget.
 // On every explored schedule the paper's claims are checked automatically:
 //
 //   - determinism (Section IV.A): a scenario marked Deterministic must
@@ -22,7 +22,8 @@
 //     a decision loop that blew the per-schedule budget;
 //   - crash-resume equivalence (optional, Options.Crash): the schedule
 //     is re-run journaled, killed at explored byte boundaries with
-//     journal.CrashWriter, resumed, and held to the live outcome.
+//     journal.CrashWriter (or SIGKILLed in a child process, with
+//     CrashCheck.Kill), resumed, and held to the live outcome.
 //
 // A failing schedule is delta-debugged down to a minimal decision trace
 // and persisted as a seed file that reproduces the failure on replay
@@ -31,11 +32,14 @@ package explore
 
 import (
 	"fmt"
+	"maps"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
+	"repro/internal/journal"
 	"repro/internal/mergeable"
 	"repro/internal/obs"
 	"repro/internal/stats"
@@ -64,19 +68,6 @@ type Scenario struct {
 	// the scenario's contract (e.g. a chaos transport legitimately
 	// killing a run) — such schedules count as lost, not as violations.
 	TolerateError func(error) bool
-
-	// opaque is the detcheck compatibility path: a self-contained run
-	// that ignores the decision stream. Set via Opaque.
-	opaque func() (uint64, error)
-}
-
-// Opaque wraps a self-contained scenario — one that performs its own run
-// and fingerprinting with no decision hooks — so the legacy
-// detcheck-style checkers can ride the explorer's random walk. Opaque
-// scenarios sample only wall-clock schedules; they cannot be steered,
-// shrunk or explored exhaustively.
-func Opaque(name string, f func() (uint64, error)) Scenario {
-	return Scenario{Name: name, opaque: f}
 }
 
 // Env is a schedule's view of its decision stream, handed to
@@ -85,6 +76,9 @@ func Opaque(name string, f func() (uint64, error)) Scenario {
 // and committed picks are recorded into script.
 type Env struct {
 	src      *Source
+	size     int
+	dir      string // journal directory of a journaled run
+	onOpen   func(*journal.Journal)
 	deferred []func()
 	history  task.HistoryGC
 	// script, when non-nil, records the committed picks; with replaying
@@ -99,6 +93,25 @@ type Env struct {
 // The signature matches faultnet.Config.Decider, so chaos wiring is
 // `Decider: env.Decide`.
 func (e *Env) Decide(site string, n int) int { return e.src.Choose(site, n) }
+
+// DecideEach is Decide for a configuration choice each of whose
+// alternatives a run must try: in place of a random draw, the random
+// walk's k-th schedule (the baseline is 0) answers the covering sites with
+// the mixed-radix digits of k, in the order they are decided, so the
+// first n₁·n₂·… schedules take every combination once. A run that never
+// reached an alternative is not clean (Result.Uncovered).
+func (e *Env) DecideEach(site string, n int) int { return e.src.choose(site, n, true) }
+
+// Size is the schedule's load (Options.Size), for scenarios that scale.
+func (e *Env) Size() int { return e.size }
+
+// JournalDir is the directory a journaled run (a crash check's) writes,
+// or "" for a live run.
+func (e *Env) JournalDir() string { return e.dir }
+
+// OnJournal hands a journaled run's journal to f before the program
+// starts (journal.Options.OnOpen), to wire coordinator state into it.
+func (e *Env) OnJournal(f func(*journal.Journal)) { e.onOpen = f }
 
 // Defer registers cleanup to run after the schedule completes, LIFO.
 // Build runs on the schedule's goroutine, so no locking is needed.
@@ -203,13 +216,14 @@ type Options struct {
 	Schedules int
 	// Seed drives the random walk.
 	Seed int64
+	// Size is handed to every schedule as Env.Size.
+	Size int
 	// MaxDecisions bounds decisions per schedule (default 4096); past it
 	// the schedule is flagged by the stall watchdog.
 	MaxDecisions int
 	// StallTimeout is the bounded-progress watchdog window: a schedule
 	// whose runtime stops pulsing for this long is a stall violation.
-	// Zero means 10s for instrumented scenarios and disabled for Opaque
-	// ones (which cannot pulse); negative disables it.
+	// Zero means 10s; negative disables it.
 	StallTimeout time.Duration
 	// Procs sweeps GOMAXPROCS across the given values (restored after),
 	// re-running the budget under each — the "regardless of the number of
@@ -236,7 +250,7 @@ type Options struct {
 }
 
 func (o Options) normalized(sc Scenario) (Options, error) {
-	if sc.Build == nil && sc.opaque == nil {
+	if sc.Build == nil {
 		return o, fmt.Errorf("explore: scenario %q has no Build", sc.Name)
 	}
 	if o.Schedules <= 0 {
@@ -246,11 +260,7 @@ func (o Options) normalized(sc Scenario) (Options, error) {
 		o.MaxDecisions = 4096
 	}
 	if o.StallTimeout == 0 {
-		if sc.opaque != nil {
-			o.StallTimeout = -1
-		} else {
-			o.StallTimeout = 10 * time.Second
-		}
+		o.StallTimeout = 10 * time.Second
 	}
 	if o.ShrinkBudget <= 0 {
 		o.ShrinkBudget = 200
@@ -259,9 +269,6 @@ func (o Options) normalized(sc Scenario) (Options, error) {
 		o.Stats = stats.NewCounters()
 	}
 	if o.Crash != nil {
-		if sc.opaque != nil {
-			return o, fmt.Errorf("explore: crash exploration needs a Build scenario")
-		}
 		if o.Crash.Encode == nil || o.Crash.Decode == nil {
 			return o, fmt.Errorf("explore: CrashCheck.Encode and Decode are required")
 		}
@@ -288,10 +295,17 @@ type Result struct {
 	Outcomes map[uint64]int
 	// Violations holds every invariant breach found, in discovery order.
 	Violations []*Violation
+	// Uncovered lists, as site=pick, the alternatives of covering
+	// decisions (Env.DecideEach) that no schedule reaching an outcome took.
+	Uncovered []string
 }
 
-// Ok reports a clean exploration.
-func (r *Result) Ok() bool { return len(r.Violations) == 0 }
+// Ok reports a clean exploration: no violation, every covering
+// alternative checked, and at least one schedule that was not lost — a
+// run that loses every schedule checked no invariant at all.
+func (r *Result) Ok() bool { return len(r.Violations) == 0 && len(r.Uncovered) == 0 && !r.allLost() }
+
+func (r *Result) allLost() bool { return r.Schedules > 0 && r.Lost == r.Schedules }
 
 // String renders a one-line summary.
 func (r *Result) String() string {
@@ -303,9 +317,14 @@ func (r *Result) String() string {
 	if r.Exhausted {
 		sb.WriteString(", space exhausted")
 	}
-	if len(r.Violations) == 0 {
+	switch {
+	case r.allLost():
+		sb.WriteString(", EVERY SCHEDULE LOST")
+	case len(r.Uncovered) > 0 && len(r.Violations) == 0:
+		fmt.Fprintf(&sb, ", NEVER TRIED %s", strings.Join(r.Uncovered, " "))
+	case len(r.Violations) == 0:
 		sb.WriteString(", clean")
-	} else {
+	default:
 		fmt.Fprintf(&sb, ", %d VIOLATIONS", len(r.Violations))
 	}
 	return sb.String()
@@ -347,6 +366,13 @@ func Run(sc Scenario, opts Options) (*Result, error) {
 			break
 		}
 	}
+	for _, site := range slices.Sorted(maps.Keys(x.tried)) {
+		for pick, ok := range x.tried[site] {
+			if !ok {
+				x.res.Uncovered = append(x.res.Uncovered, fmt.Sprintf("%s=%d", site, pick))
+			}
+		}
+	}
 	return x.res, nil
 }
 
@@ -358,13 +384,16 @@ type explorer struct {
 
 	haveRef bool
 	refFP   uint64
+	// tried marks, per covering site, the alternatives taken by a
+	// schedule that reached an outcome.
+	tried map[string][]bool
 }
 
 // explorePass runs one GOMAXPROCS sweep's schedule budget.
 func (x *explorer) explorePass() {
 	st := newStrategyState(x.opts.Strategy, x.opts.Seed)
 	n := 0
-	if x.opts.Strategy == RandomWalk && x.sc.opaque == nil {
+	if x.opts.Strategy == RandomWalk {
 		// Anchor the reference outcome on the all-default baseline
 		// schedule before randomizing. (Exhaustive starts there anyway.)
 		x.runOne(newSource(nil, nil, x.opts.MaxDecisions), st)
@@ -411,6 +440,7 @@ func (x *explorer) runOne(src *Source, st strategyState) {
 		v = &Violation{Kind: KindError, Err: out.err}
 	default:
 		x.res.Outcomes[out.fp]++
+		x.markTried(src)
 		if x.sc.Deterministic {
 			if !x.haveRef {
 				x.haveRef, x.refFP = true, out.fp
@@ -437,12 +467,27 @@ func (x *explorer) runOne(src *Source, st strategyState) {
 	}
 }
 
+// markTried records src's covering decisions in x.tried.
+func (x *explorer) markTried(src *Source) {
+	src.mu.Lock()
+	defer src.mu.Unlock()
+	if x.tried == nil {
+		x.tried = make(map[string][]bool)
+	}
+	for _, d := range src.covering {
+		if len(x.tried[d.Site]) < d.N {
+			x.tried[d.Site] = append(x.tried[d.Site], make([]bool, d.N-len(x.tried[d.Site]))...)
+		}
+		x.tried[d.Site][d.Pick] = true
+	}
+}
+
 // report finalizes a violation: shrink, persist, localize, record.
 func (x *explorer) report(v *Violation, out schedOut) {
 	v.Scenario = x.sc.Name
 	v.Trace = out.trace.clone()
 	v.RawLen = len(out.trace)
-	if x.opts.Shrink && v.Kind != KindStall && x.sc.opaque == nil {
+	if x.opts.Shrink && v.Kind != KindStall {
 		// Stalls are not shrunk: every still-failing probe would park
 		// another goroutine on the watchdog's floor.
 		v.Trace = shrink(v.Trace, x.failsLike(v), x.opts.ShrinkBudget, x.opts.Stats)
@@ -456,7 +501,7 @@ func (x *explorer) report(v *Violation, out schedOut) {
 			x.opts.Stats.Inc("seed_persisted")
 		}
 	}
-	if v.Kind == KindDeterminism && x.sc.opaque == nil {
+	if v.Kind == KindDeterminism {
 		v.SpanDiff = spanDiff(x.sc, x.opts, v.Trace)
 	}
 	x.opts.Stats.Inc("violation")
@@ -505,11 +550,7 @@ type schedOut struct {
 // the production replay path instead of the decision stream (the MergeAny
 // cross-check).
 func runSchedule(sc Scenario, src *Source, opts Options, tracer *obs.Tracer, replay *task.MergeScript) schedOut {
-	if sc.opaque != nil {
-		fp, err := sc.opaque()
-		return schedOut{fp: fp, err: err}
-	}
-	env := &Env{src: src, script: task.NewMergeScript()}
+	env := &Env{src: src, size: opts.Size, script: task.NewMergeScript()}
 	if replay != nil {
 		env.script, env.replaying = replay, true
 		replay.Rewind()
@@ -610,9 +651,6 @@ func ReplayTrace(sc Scenario, tr Trace, opts Options) (*Violation, error) {
 	if err != nil {
 		return nil, err
 	}
-	if sc.opaque != nil {
-		return nil, fmt.Errorf("explore: cannot replay a trace into an Opaque scenario")
-	}
 	x := &explorer{sc: sc, opts: o, res: &Result{Scenario: sc.Name, Outcomes: make(map[uint64]int)}}
 	if sc.Deterministic {
 		// Establish the reference from the all-default baseline.
@@ -634,16 +672,17 @@ func ReplayTrace(sc Scenario, tr Trace, opts Options) (*Violation, error) {
 	return nil, nil
 }
 
-// sortedOutcomes renders Outcomes deterministically for reports.
-func sortedOutcomes(m map[uint64]int) []string {
-	fps := make([]uint64, 0, len(m))
-	for fp := range m {
+// SortedOutcomes renders Outcomes as fingerprint×count, ascending by
+// fingerprint, for reports.
+func (r *Result) SortedOutcomes() []string {
+	fps := make([]uint64, 0, len(r.Outcomes))
+	for fp := range r.Outcomes {
 		fps = append(fps, fp)
 	}
 	sort.Slice(fps, func(i, j int) bool { return fps[i] < fps[j] })
 	out := make([]string, len(fps))
 	for i, fp := range fps {
-		out[i] = fmt.Sprintf("%016x×%d", fp, m[fp])
+		out[i] = fmt.Sprintf("%016x×%d", fp, r.Outcomes[fp])
 	}
 	return out
 }

@@ -14,6 +14,7 @@ import (
 	"repro/internal/collab"
 	"repro/internal/dist"
 	"repro/internal/faultnet"
+	"repro/internal/journal"
 	"repro/internal/memnet"
 	"repro/internal/mergeable"
 	"repro/internal/task"
@@ -35,8 +36,9 @@ func init() {
 			return nil
 		})
 	}
-	// The compact scenario's structures cross the crash boundary.
+	// The compact and mem scenarios' structures cross the crash boundary.
 	dist.RegisterMapCodec[int, int]("explore-map-int-int")
+	dist.RegisterSetCodec[int]("explore-set-int")
 	// The churn scenario's workload: one registered function per task
 	// slot, its effect a pure function of the slot — never of the node
 	// that happens to host it — so any placement, failover or rebalance
@@ -278,14 +280,26 @@ func Churn() Scenario {
 		Name:          "churn",
 		Deterministic: true,
 		Build: func(env *Env) (task.Func, []mergeable.Mergeable) {
-			cluster := dist.NewClusterWith(dist.Options{
-				Nodes:             2,
-				SendTimeout:       time.Second,
-				RecvTimeout:       time.Second,
-				HeartbeatInterval: -1,
-				Retry:             dist.RetryPolicy{MaxAttempts: 6},
-			})
-			env.Defer(cluster.Close)
+			var cluster *dist.Cluster
+			start := func(j dist.RouteJournal) {
+				cluster = dist.NewClusterWith(dist.Options{
+					Nodes:             2,
+					SendTimeout:       time.Second,
+					RecvTimeout:       time.Second,
+					HeartbeatInterval: -1,
+					Retry:             dist.RetryPolicy{MaxAttempts: 6},
+					Journal:           j,
+				})
+				env.Defer(cluster.Close)
+			}
+			if env.JournalDir() == "" {
+				start(nil)
+			} else {
+				// Journaled, membership and routes land in the run's WAL: a
+				// resumed coordinator re-drives the same epochs under replay
+				// verification.
+				env.OnJournal(func(j *journal.Journal) { start(j) })
+			}
 			killed := make(map[int]bool)
 			list := mergeable.NewList[int]()
 			cnt := mergeable.NewCounter(0)
@@ -388,7 +402,7 @@ func Session() Scenario {
 			}})
 			if err != nil {
 				l.Close()
-				return func(*task.Ctx, []mergeable.Mergeable) error { return err }, data
+				return failed(err), data
 			}
 			env.Defer(func() { srv.Shutdown() }) // idempotent; normally already down
 
@@ -845,7 +859,7 @@ func buildShard(env *Env, unsafe bool) (task.Func, []mergeable.Mergeable) {
 		// keeps the minimal two-site space the shrinker must land on.
 		dir, err := os.MkdirTemp("", "explore-shard-")
 		if err != nil {
-			return func(*task.Ctx, []mergeable.Mergeable) error { return err }, data
+			return failed(err), data
 		}
 		env.Defer(func() { os.RemoveAll(dir) })
 		opts.Dir = dir
@@ -854,7 +868,7 @@ func buildShard(env *Env, unsafe bool) (task.Func, []mergeable.Mergeable) {
 	srv, err := collab.ServeSharded(l, map[string]string{"alpha": "", "beta": "", "gamma": ""}, opts)
 	if err != nil {
 		l.Close()
-		return func(*task.Ctx, []mergeable.Mergeable) error { return err }, data
+		return failed(err), data
 	}
 	env.Defer(func() { srv.Shutdown() }) // idempotent; normally already down
 
@@ -990,7 +1004,7 @@ func buildShard(env *Env, unsafe bool) (task.Func, []mergeable.Mergeable) {
 
 // Builtins returns the built-in scenarios in a stable order.
 func Builtins() []Scenario {
-	return []Scenario{Fanout(), AnyOrder(), AbortSync(), OverlapAny(), Chaos(), Churn(), Session(), Compact(), Shard()}
+	return []Scenario{Fanout(), AnyOrder(), AbortSync(), OverlapAny(), Chaos(), Churn(), Session(), Compact(), Shard(), Collab(), Load(), Mem()}
 }
 
 // BuiltinScenario looks a built-in up by name.

@@ -28,7 +28,7 @@ func TestShardScenarioExhaustive(t *testing.T) {
 		t.Errorf("lost %d schedules, want 0 (no chaos in this scenario)", res.Lost)
 	}
 	if len(res.Outcomes) != 1 {
-		t.Errorf("observed %d outcomes, want exactly 1: %v", len(res.Outcomes), sortedOutcomes(res.Outcomes))
+		t.Errorf("observed %d outcomes, want exactly 1: %v", len(res.Outcomes), res.SortedOutcomes())
 	}
 }
 

@@ -62,6 +62,11 @@ type Source struct {
 	// counter, so a decision-driven livelock surfaces as a stall.
 	maxDecisions int
 	overBudget   bool
+	// each holds the random walk's schedule index, whose mixed-radix
+	// digits answer the covering decisions (Env.DecideEach) in turn;
+	// covering records them for Result.Uncovered.
+	each     int64
+	covering Trace
 	// progress is the stall watchdog's pulse: bumped by every decision
 	// and by every blocking point of the merge protocol (via
 	// Env.Yield).
@@ -87,7 +92,11 @@ func newSource(forced Trace, rng *rand.Rand, maxDecisions int) *Source {
 // Points with fewer than two alternatives are not decisions: they answer
 // 0 without being recorded, so traces hold only real branch points. Safe
 // for concurrent use from any goroutine.
-func (s *Source) Choose(site string, n int) int {
+func (s *Source) Choose(site string, n int) int { return s.choose(site, n, false) }
+
+// choose is Choose; a covering decision takes the next digit of the
+// schedule index where a random draw would go.
+func (s *Source) choose(site string, n int, covering bool) int {
 	s.progress.Add(1)
 	if n <= 1 {
 		return 0
@@ -108,6 +117,9 @@ func (s *Source) Choose(site string, n int) int {
 			// count at this site); fall back to the default alternative.
 			pick = 0
 		}
+	} else if covering {
+		pick = int(s.each % int64(n))
+		s.each /= int64(n)
 	} else if s.rng != nil {
 		// Bias 3:1 toward the default alternative. Uniform picks make
 		// nearly every chaos schedule inject faults at nearly every write,
@@ -120,6 +132,9 @@ func (s *Source) Choose(site string, n int) int {
 		}
 	}
 	s.trace = append(s.trace, Decision{Site: site, N: n, Pick: pick})
+	if covering {
+		s.covering = append(s.covering, Decision{Site: site, N: n, Pick: pick})
+	}
 	return pick
 }
 

@@ -8,8 +8,7 @@ type Strategy int
 const (
 	// RandomWalk answers every decision from a seeded random stream — a
 	// different stream per schedule. It samples the schedule space
-	// uniformly-ish and scales to arbitrarily deep programs; it is the
-	// strategy the determinism checker (internal/detcheck) rides on.
+	// uniformly-ish and scales to arbitrarily deep programs.
 	RandomWalk Strategy = iota
 	// Exhaustive performs bounded-exhaustive depth-first search over the
 	// decision tree: the first schedule takes every default, and each
@@ -50,7 +49,9 @@ type randomWalk struct {
 func (r *randomWalk) next(maxDecisions int) (*Source, bool) {
 	r.n++
 	mixed := r.seed ^ int64(uint64(r.n)*0x9E3779B97F4A7C15)
-	return newSource(nil, rand.New(rand.NewSource(mixed)), maxDecisions), true
+	src := newSource(nil, rand.New(rand.NewSource(mixed)), maxDecisions)
+	src.each = r.n
+	return src, true
 }
 
 func (r *randomWalk) observe(*Source) {}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/mergeable"
 	"repro/internal/stats"
 	"repro/internal/task"
+	"repro/internal/testutil"
 )
 
 // journaledScenario runs workload journaled in a fresh directory and
@@ -164,28 +165,14 @@ func TestResumeOfResume(t *testing.T) {
 
 // TestJournaledRunDeterministicAcrossProcs: the journaled acceptance
 // workload has one observable outcome regardless of core count — the
-// paper's determinism claim, checked through the journal path. The check
-// loop is inlined rather than delegated to detcheck: detcheck now rides
-// internal/explore, which imports this package for crash exploration.
+// paper's determinism claim, checked through the journal path.
 func TestJournaledRunDeterministicAcrossProcs(t *testing.T) {
 	base := t.TempDir()
-	orig := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(orig)
 	n := 0
-	outcomes := make(map[uint64]int)
-	for _, procs := range []int{1, 4} {
-		runtime.GOMAXPROCS(procs)
-		for i := 0; i < 3; i++ {
-			n++
-			dir := filepath.Join(base, fmt.Sprintf("run%d", n))
-			data := anyData()
-			if err := Run(dir, testOptions(), anyWorkload, data...); err != nil {
-				t.Fatalf("run %d: %v", n, err)
-			}
-			outcomes[fingerprintAll(data)]++
-		}
-	}
-	if len(outcomes) != 1 {
-		t.Fatalf("journaled runs diverged: %v", outcomes)
-	}
+	testutil.SameAcrossProcs(t, 3, []int{1, 4}, func() (uint64, error) {
+		n++
+		data := anyData()
+		err := Run(filepath.Join(base, fmt.Sprintf("run%d", n)), testOptions(), anyWorkload, data...)
+		return fingerprintAll(data), err
+	})
 }

@@ -1,6 +1,9 @@
 package netsim
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // TestAllEnginesSatisfyTraceChains runs every engine — the paper's four
 // and the channel baselines — through the hash-chain verifier: each must
@@ -15,6 +18,30 @@ func TestAllEnginesSatisfyTraceChains(t *testing.T) {
 			reCfg.Routing = e.Routing
 			if err := VerifyTraceChains(r, reCfg); err != nil {
 				t.Errorf("%s (l=%d): %v", e.Name, workload, err)
+			}
+		}
+	}
+}
+
+// TestRandomConfigsVerify draws simulation configs from a fixed list of
+// seeds over hosts 2–7, messages 4–15, TTL 2–9 and workload 0–3, and runs
+// every engine on each: every result must pass VerifyTraceChains, and a
+// deterministic engine must give the same fingerprint on a re-run.
+func TestRandomConfigsVerify(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		cfg := Config{Hosts: 2 + r.Intn(6), Messages: 4 + r.Intn(12), TTL: 2 + r.Intn(8), Workload: r.Intn(4), Seed: r.Uint64()}
+		for _, e := range AllEngines() {
+			cfg.Routing = e.Routing
+			res := runWithDeadline(t, e.Name, cfg)
+			if err := VerifyTraceChains(res, cfg); err != nil {
+				t.Errorf("seed %d, %s %+v: %v", seed, e.Name, cfg, err)
+			}
+			if !e.DeterministicResults {
+				continue
+			}
+			if again := runWithDeadline(t, e.Name, cfg); again.Fingerprint != res.Fingerprint {
+				t.Errorf("seed %d, %s %+v: fingerprints %016x and %016x", seed, e.Name, cfg, res.Fingerprint, again.Fingerprint)
 			}
 		}
 	}

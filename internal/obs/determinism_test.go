@@ -2,18 +2,18 @@ package obs_test
 
 import (
 	"hash/fnv"
+	"math/rand"
 	"testing"
 
-	"repro/internal/detcheck"
 	"repro/internal/mergeable"
 	"repro/internal/obs"
 	"repro/internal/task"
+	"repro/internal/testutil"
 )
 
-// tracedWorkload runs tracedProgram and returns its observable outcome:
-// the span-tree fingerprint mixed with the exported counter set.
-func tracedWorkload() (uint64, error) {
-	tr, err := tracedProgram()
+// traceOutcome reduces a traced run to its observable outcome: the
+// span-tree fingerprint mixed with the exported counter set.
+func traceOutcome(tr *obs.Tracer, err error) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
@@ -75,18 +75,55 @@ func tracedProgram() (*obs.Tracer, error) {
 	return tr, err
 }
 
+// randomTree runs a seed-shaped task tree — each task edits a list, a
+// text and a counter, spawns up to two children and merges them
+// explicitly or implicitly — under a tracer and returns the tracer.
+func randomTree(seed int64) (*obs.Tracer, error) {
+	var body func(seed int64, depth int) task.Func
+	body = func(seed int64, depth int) task.Func {
+		return func(ctx *task.Ctx, data []mergeable.Mergeable) error {
+			r := rand.New(rand.NewSource(seed))
+			l, tx, c := data[0].(*mergeable.List[int]), data[1].(*mergeable.Text), data[2].(*mergeable.Counter)
+			for i, n := 0, r.Intn(5); i < n; i++ {
+				switch r.Intn(4) {
+				case 0:
+					l.Insert(r.Intn(l.Len()+1), r.Intn(100))
+				case 1:
+					if l.Len() > 0 {
+						l.Delete(r.Intn(l.Len()))
+					}
+				case 2:
+					tx.Insert(r.Intn(tx.Len()+1), string(rune('a'+r.Intn(26))))
+				default:
+					c.Add(int64(r.Intn(20) - 10))
+				}
+			}
+			if depth > 0 {
+				for k, kids := 0, r.Intn(3); k < kids; k++ {
+					ctx.Spawn(body(seed*7919+int64(k+1), depth-1), data...)
+				}
+				if r.Intn(2) == 0 {
+					return ctx.MergeAll()
+				}
+			}
+			return nil
+		}
+	}
+	tr := obs.New()
+	data := []mergeable.Mergeable{mergeable.NewList[int](), mergeable.NewText("s"), mergeable.NewCounter(0)}
+	return tr, task.RunWith(task.RunConfig{Obs: tr}, body(seed, 3), data...)
+}
+
 // TestSpanTreeDeterministicAcrossProcs is the observability determinism
 // guarantee in executable form: with tracing enabled, repeated runs of a
 // deterministic program produce bit-identical span trees and counter sets
-// on GOMAXPROCS 1 and 4 alike. Durations differ every run; they are
-// excluded from identity, which is exactly what the fingerprint checks.
+// on GOMAXPROCS 1 and 4 alike — the fixed tracedProgram and a few random
+// tree shapes. Durations differ every run; they are excluded from
+// identity, which is exactly what the fingerprint checks.
 func TestSpanTreeDeterministicAcrossProcs(t *testing.T) {
-	rep, err := detcheck.CheckAcrossProcs(8, []int{1, 4}, tracedWorkload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Deterministic() {
-		t.Fatalf("span trees diverged: %s", rep)
+	testutil.SameAcrossProcs(t, 8, []int{1, 4}, func() (uint64, error) { return traceOutcome(tracedProgram()) })
+	for _, seed := range []int64{1, 2, 3, 7, 42, 1 << 40} {
+		testutil.SameAcrossProcs(t, 4, []int{1, 4}, func() (uint64, error) { return traceOutcome(randomTree(seed)) })
 	}
 }
 

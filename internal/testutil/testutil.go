@@ -3,6 +3,7 @@
 package testutil
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -23,4 +24,29 @@ func WithTimeout(t testing.TB, d time.Duration, fn func()) {
 	case <-time.After(d):
 		t.Fatal("timed out: blocked unexpectedly")
 	}
+}
+
+// SameAcrossProcs runs f n times under each GOMAXPROCS value in procs
+// (restoring the setting after) and fails t unless every run succeeds
+// with one fingerprint, which it returns: the paper's "regardless of the
+// number of cores" claim for a self-contained program.
+func SameAcrossProcs(t testing.TB, n int, procs []int, f func() (uint64, error)) uint64 {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var want uint64
+	for i, p := range procs {
+		runtime.GOMAXPROCS(p)
+		for run := 0; run < n; run++ {
+			got, err := f()
+			switch {
+			case err != nil:
+				t.Fatalf("GOMAXPROCS %d, run %d: %v", p, run, err)
+			case i == 0 && run == 0:
+				want = got
+			case got != want:
+				t.Fatalf("GOMAXPROCS %d, run %d: fingerprint %016x, first run %016x", p, run, got, want)
+			}
+		}
+	}
+	return want
 }

@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/detcheck"
+	"repro/internal/testutil"
 )
 
 // TestQuickstartListing1 runs the README / paper Listing 1 scenario
@@ -168,8 +168,8 @@ func TestWordCountPipeline(t *testing.T) {
 	}
 }
 
-// TestFacadeDeterminism runs a facade-level scenario through the
-// determinism checker across GOMAXPROCS values.
+// TestFacadeDeterminism runs a facade-level scenario 8 times under each
+// of GOMAXPROCS 1, 2 and 4: every run must give one fingerprint.
 func TestFacadeDeterminism(t *testing.T) {
 	scenario := func() (uint64, error) {
 		txt := NewText("x")
@@ -190,11 +190,5 @@ func TestFacadeDeterminism(t *testing.T) {
 		}
 		return txt.Fingerprint() ^ lst.Fingerprint(), nil
 	}
-	rep, err := detcheck.CheckAcrossProcs(8, []int{1, 2, 4}, scenario)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Deterministic() {
-		t.Fatalf("facade scenario non-deterministic: %s", rep)
-	}
+	testutil.SameAcrossProcs(t, 8, []int{1, 2, 4}, scenario)
 }
